@@ -3,22 +3,19 @@
 Subcommands: phi, factorize, act, dot, verify, free.  Letters are 1-based in
 all CLI text; `act --bits` prints each letter as its bit vector instead
 (least significant bit first).  Exit codes: 0 on success (all requested
-checks passed), 1 when a verification fails, 2 on malformed input.
-
-GLNZ_THREADS caps a thread pool that `verify` uses to run its suites side by
-side; results are always printed in the same fixed order.
+checks passed), 1 when a verification fails, 2 on malformed input.  Only
+the library's typed input errors (GlnzTreeError, OverflowError) and OS
+errors map to exit 2; anything else is an internal fault and propagates.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import checks
-from .errors import GlnzTreeError, InvalidLetter, ParseError
+from .errors import GlnzTreeError, InvalidArgument, InvalidLetter, ParseError
 from .glnz import IntMatrix, bits_from_letter, factorize, factors_to_json, generator_automorphism, phi
 from .sanov import binary_generators
 
@@ -27,7 +24,7 @@ def _load_matrix(path):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return IntMatrix.from_json(data)
 
@@ -110,23 +107,9 @@ def _cmd_dot(args):
     return 0
 
 
-def _thread_budget():
-    raw = os.environ.get("GLNZ_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _run_tasks(tasks):
-    workers = _thread_budget()
-    if workers <= 1 or len(tasks) <= 1:
-        return [task() for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(lambda task: task(), tasks))
-
-
 def _cmd_verify(args):
+    if args.kmax < 1:
+        raise InvalidArgument(f"--kmax must be a positive integer, got {args.kmax}")
     dims = (args.n,) if args.n is not None else (2, 3)
     chosen = [
         name for name in ("theorem1", "lemma1", "lemma2", "corollary")
@@ -140,7 +123,7 @@ def _cmd_verify(args):
         "lemma2": lambda: checks.lemma2_suite(dims=dims, mmax=args.kmax),
         "corollary": lambda: checks.corollary_suite(dims=dims),
     }
-    grouped = _run_tasks([suites[name] for name in chosen])
+    grouped = [suites[name]() for name in chosen]
     all_ok = True
     for results in grouped:
         for result in results:
@@ -215,7 +198,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (GlnzTreeError, OverflowError, TypeError, ValueError, OSError) as exc:
+    except (GlnzTreeError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

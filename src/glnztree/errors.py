@@ -1,8 +1,10 @@
 """Exception types shared across the library.
 
-Everything raised deliberately by this package derives from GlnzTreeError,
-except OverflowError, which is reused as-is for the checked 64-bit integer
-policy on matrix entries.
+Everything raised deliberately on malformed input derives from
+GlnzTreeError, except OverflowError, which is reused as-is for the checked
+64-bit integer policy on matrix entries.  Wrong argument types passed by
+library code (TypeError) and internal faults (RuntimeError) are not
+GlnzTreeErrors, so the CLI never reports them as malformed input.
 """
 
 
@@ -45,3 +47,8 @@ class ParseError(GlnzTreeError):
 
 class ShapeError(GlnzTreeError):
     """Matrix input is not square, or is smaller than 2 x 2."""
+
+
+class InvalidArgument(GlnzTreeError, ValueError):
+    """A bound or option is out of range or of the wrong type.  Also a
+    ValueError, so callers that catch ValueError keep working."""

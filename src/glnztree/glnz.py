@@ -223,6 +223,10 @@ class IntMatrix:
             raise ParseError(f"malformed matrix JSON: {exc}") from exc
         if not isinstance(rows, list) or any(not isinstance(r, list) for r in rows):
             raise ParseError("malformed matrix JSON: \"rows\" must be a list of lists")
+        for r in rows:
+            for e in r:
+                if not isinstance(e, int) or isinstance(e, bool):
+                    raise ParseError(f"malformed matrix JSON: entry {e!r} is not an integer")
         matrix = cls(rows)
         if matrix.n != n:
             raise ShapeError(f"\"n\" is {n} but the matrix has {matrix.n} rows")
@@ -417,7 +421,8 @@ def factorize(matrix):
             for r in range(n):
                 m[r][p] = -m[r][p]
             ops.append(SignFlip(p + 1))
-    assert all(m[r][c] == (1 if r == c else 0) for r in range(n) for c in range(n))
+    if any(m[r][c] != (1 if r == c else 0) for r in range(n) for c in range(n)):
+        raise RuntimeError(f"factorize: column reduction left {m}, not the identity")
     return [op.inverse() for op in reversed(ops)]
 
 

@@ -42,7 +42,8 @@ class TreeAutomorphism:
         if not rows:
             raise ValueError("an automorphism needs at least one state")
         size = len(rows)
-        if not (isinstance(initial, int) and 0 <= initial < size):
+        if not (isinstance(initial, int) and not isinstance(initial, bool)
+                and 0 <= initial < size):
             raise ValueError(f"initial state {initial!r} out of range for {size} states")
         letters = tuple(range(n))
         for out, trans in rows:
@@ -51,7 +52,7 @@ class TreeAutomorphism:
             if len(trans) != n:
                 raise ValueError("each state needs one transition per letter")
             for t in trans:
-                if not (isinstance(t, int) and 0 <= t < size):
+                if not (isinstance(t, int) and not isinstance(t, bool) and 0 <= t < size):
                     raise ValueError(f"transition target {t!r} out of range")
         # trim: breadth-first from the initial state, letters ascending
         order = [initial]
@@ -466,27 +467,3 @@ def _refine_table(machine, code):
         outs.append(tuple(orow))
         trans.append(tuple(trow))
     return tuple(outs), tuple(trans), names
-
-
-def _composition_is_identity(g, h):
-    """Whether the product g*h is trivial, by a pair bisimulation that bails
-    out at the first non-identity output.  Avoids materializing the product;
-    used by the bulk freeness sweep."""
-    n = g.n
-    go, gt = g.outputs, g.transitions
-    ho, ht = h.outputs, h.transitions
-    seen = {(0, 0)}
-    stack = [(0, 0)]
-    while stack:
-        p, q = stack.pop()
-        op, tp = go[p], gt[p]
-        oq, tq = ho[q], ht[q]
-        for x in range(n):
-            y = op[x]
-            if oq[y] != x:
-                return False
-            pair = (tp[x], tq[y])
-            if pair not in seen:
-                seen.add(pair)
-                stack.append(pair)
-    return True

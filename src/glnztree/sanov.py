@@ -6,13 +6,14 @@ machines live over the 4-letter alphabet; identifying each 4-ary letter with
 a 2-block of binary letters rewrites them as automorphisms `a` and `d` of the
 binary rooted tree, nine states each.
 
-This module builds `a` and `d`, evaluates reduced words in them, sweeps all
-reduced words up to a length bound for relations, and cross-checks the
-block-code conjugacy between the coarse and fine machines on all vertices up
-to a depth bound.  It also carries a hand-made transcription of the two
-published 9-state Moore diagrams for `a` and `d`; `figure_diff()` compares
-the transcription against the construction edge by edge, because the drawn
-diagrams are not to be trusted blindly.
+This module builds `a` and `d`, evaluates reduced words in them, decides by
+a meet-in-the-middle sweep whether any reduced word up to a length bound is
+a relation, and cross-checks the block-code conjugacy between the coarse and
+fine machines on all vertices up to a depth bound.  It also carries a
+hand-made transcription of the two published 9-state Moore diagrams for `a`
+and `d`; `figure_diff()` compares the transcription against the
+construction edge by edge, because the drawn diagrams are not to be trusted
+blindly.
 """
 
 from __future__ import annotations
@@ -21,15 +22,15 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import AlphabetMismatch, NotReduced, ParseError
-from .glnz import generator_automorphism
-from .mealy import (
-    RefinementMap,
-    TreeAutomorphism,
-    _composition_is_identity,
-    _refine_table,
-    identity_automorphism,
+from .errors import (
+    AlphabetMismatch,
+    InvalidArgument,
+    NotReduced,
+    ParseError,
+    RefinementMismatch,
 )
+from .glnz import generator_automorphism
+from .mealy import RefinementMap, _refine_table, identity_automorphism
 
 # coarse letter -> binary 2-block; letter 1 = (0,0), 2 = (1,1), 3 = (1,0), 4 = (0,1)
 _BLOCK_TABLE = ((0, 0), (1, 1), (1, 0), (0, 1))
@@ -119,17 +120,42 @@ def depth_conjugacy_check(depth, code=None):
     `depth` and every machine pair (g over 4 letters, g-hat its binary
     refinement).  `code` is the encoding under test; the refined machines
     always come from the standard block code, so passing a perturbed code
-    makes the check fail, as it should."""
+    makes the check fail, as it should.
+
+    Level by level over state pairs: a vertex v x passes iff v passes and,
+    from the pair (coarse state, fine state) that v reaches, the fine
+    machine maps the block of x to the block of the coarse output on x.  So
+    every pair reachable within depth - 1 letters is checked once, on each
+    letter, instead of acting on all 4^0 + ... + 4^depth vertices."""
     if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
-        raise ValueError(f"depth must be a nonnegative integer, got {depth!r}")
+        raise InvalidArgument(f"depth must be a nonnegative integer, got {depth!r}")
     enc = block_code() if code is None else code
-    pairs = _conjugate_pairs()
-    for length in range(depth + 1):
-        for v in itertools.product(range(4), repeat=length):
-            encoded = enc.encode(v)
-            for coarse, fine in pairs:
-                if enc.encode(coarse.act(v)) != fine.act(encoded):
-                    return False
+    if enc.coarse_size != 4 or enc.fine_size != 2:
+        raise RefinementMismatch(
+            f"code maps {enc.coarse_size} letters to blocks over {enc.fine_size}, "
+            "expected 4 letters over 2")
+    table = enc.table
+    for coarse, fine in _conjugate_pairs():
+        co, ct = coarse.outputs, coarse.transitions
+        fo, ft = fine.outputs, fine.transitions
+        seen = {(0, 0)}
+        level = [(0, 0)]
+        for _ in range(depth):
+            nxt = []
+            for p, q in level:
+                for x in range(4):
+                    r = q
+                    image = []
+                    for y in table[x]:
+                        image.append(fo[r][y])
+                        r = ft[r][y]
+                    if tuple(image) != table[co[p][x]]:
+                        return False
+                    pair = (ct[p][x], r)
+                    if pair not in seen:
+                        seen.add(pair)
+                        nxt.append(pair)
+            level = nxt
     return True
 
 
@@ -151,7 +177,7 @@ class GroupWord:
         syls = tuple(syllables)
         for syl in syls:
             if syl not in _LETTER_ORDER:
-                raise ValueError(f"bad syllable {syl!r}: expected (symbol, +-1)")
+                raise InvalidArgument(f"bad syllable {syl!r}: expected (symbol, +-1)")
         for left, right in zip(syls, syls[1:]):
             if left[0] == right[0] and left[1] == -right[1]:
                 raise NotReduced(f"cancelling pair at {left} {right}")
@@ -223,21 +249,41 @@ class FreenessReport:
         }
 
 
-def freeness_check(max_length, gen_a=None, gen_d=None):
-    """Evaluate every nonempty reduced word of length <= max_length over the
-    given generators (default: the binary pair a, d) and report the first
-    identity word found, if any.
+def _free_reduce(syllables):
+    stack = []
+    for sym, exp in syllables:
+        if stack and stack[-1] == (sym, -exp):
+            stack.pop()
+        else:
+            stack.append((sym, exp))
+    return tuple(stack)
 
-    Depth-first over the prefix tree in letter order a < A < d < D; interior
-    prefixes keep a minimized machine, full-length words use a fused
-    product-triviality test so the deepest (and widest) level never
-    materializes a product machine."""
+
+def _word_inverse(syllables):
+    return tuple((sym, -exp) for sym, exp in reversed(syllables))
+
+
+def freeness_check(max_length, gen_a=None, gen_d=None):
+    """Decide whether some nonempty reduced word of length <= max_length
+    over the given generators (default: the binary pair a, d) evaluates to
+    the identity, and report the first such word in shortlex order with
+    letters a < A < d < D.  `words_checked` is the number of reduced words
+    covered, 2 * (3^max_length - 1).
+
+    Meet in the middle: every reduced word of length <= ceil(max_length/2),
+    the empty word included, is evaluated level by level (each machine is
+    its parent's composed with one generator, then minimized) and filed
+    under its canonical minimal form.  A relation w of length <= max_length
+    splits as w = u v^-1 with u, v reduced, distinct and of length
+    <= ceil(max_length/2), so u and v share a class; conversely two distinct words u, v of
+    one class give the nontrivial relation u v^-1, freely reduced.  The
+    report takes the shortlex-first of those relations that fit the bound."""
     if not isinstance(max_length, int) or isinstance(max_length, bool) or max_length < 1:
-        raise ValueError(f"max_length must be a positive integer, got {max_length!r}")
+        raise InvalidArgument(f"max_length must be a positive integer, got {max_length!r}")
     if gen_a is None and gen_d is None:
         gen_a, gen_d = binary_generators()
     elif gen_a is None or gen_d is None:
-        raise ValueError("pass both generators or neither")
+        raise InvalidArgument("pass both generators or neither")
     if gen_a.n != gen_d.n:
         raise AlphabetMismatch(f"alphabets differ: {gen_a.n} vs {gen_d.n}")
     machines = {
@@ -246,32 +292,31 @@ def freeness_check(max_length, gen_a=None, gen_d=None):
         ("d", 1): gen_d.minimize(),
         ("d", -1): gen_d.inverse().minimize(),
     }
-    hits = []
-    checked = 0
-
-    def walk(prefix_machine, word, length):
-        nonlocal checked
-        for syl in _LETTER_ORDER:
-            last = word[-1] if word else None
-            if last is not None and last[0] == syl[0] and last[1] == -syl[1]:
-                continue
-            extended = word + (syl,)
-            checked += 1
-            if length + 1 == max_length:
-                if _composition_is_identity(prefix_machine, machines[syl]):
-                    hits.append(extended)
-            else:
-                nxt = prefix_machine.compose(machines[syl]).minimize()
-                if nxt.is_identity():
-                    hits.append(extended)
-                walk(nxt, extended, length + 1)
-
-    walk(identity_automorphism(gen_a.n), (), 0)
+    identity = identity_automorphism(gen_a.n)
+    classes = {(identity.outputs, identity.transitions): [()]}
+    level = [((), identity)]
+    for _ in range((max_length + 1) // 2):
+        nxt = []
+        for word, machine in level:
+            for syl in _LETTER_ORDER:
+                if word and word[-1] == (syl[0], -syl[1]):
+                    continue
+                extended = word + (syl,)
+                product = machine.compose(machines[syl]).minimize()
+                classes.setdefault((product.outputs, product.transitions), []).append(extended)
+                nxt.append((extended, product))
+        level = nxt
+    relations = []
+    for words in classes.values():
+        for u, v in itertools.combinations(words, 2):
+            for rel in (_free_reduce(u + _word_inverse(v)), _free_reduce(v + _word_inverse(u))):
+                if len(rel) <= max_length:
+                    relations.append(rel)
     counterexample = None
-    if hits:
-        best = min(hits, key=lambda w: (len(w), tuple(_RANK[s] for s in w)))
+    if relations:
+        best = min(relations, key=lambda w: (len(w), tuple(_RANK[s] for s in w)))
         counterexample = GroupWord(best)
-    return FreenessReport(max_length, checked, counterexample)
+    return FreenessReport(max_length, 2 * (3 ** max_length - 1), counterexample)
 
 
 # ----------------------------------------------------------------------
@@ -307,7 +352,7 @@ def constructed_edges(which):
     "a" or "d", named with the same state labels the reference diagrams use
     (row letter by coarse section, suffix by buffered binary letter)."""
     if which not in _FIGURE_ROWS:
-        raise ValueError(f"expected 'a' or 'd', got {which!r}")
+        raise InvalidArgument(f"expected 'a' or 'd', got {which!r}")
     coarse = _coarse()["t1t1" if which == "a" else "s1s1"]
     outs, trans, names = _refine_table(coarse, block_code())
     rows = _FIGURE_ROWS[which]

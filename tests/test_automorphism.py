@@ -107,6 +107,18 @@ def test_constructor_validation():
         TreeAutomorphism(1, [((0,), (0,))])
 
 
+def test_constructor_rejects_bool_states():
+    # bool is an int subclass; True must not pass for state 1
+    rows = [((0, 1), (1, 0)), ((1, 0), (0, 1))]
+    with pytest.raises(ValueError):
+        TreeAutomorphism(2, [((0, 1), (True, 0)), ((1, 0), (0, 1))])
+    with pytest.raises(ValueError):
+        TreeAutomorphism(2, [((0, 1), (1, 0)), ((1, 0), (0, False))])
+    with pytest.raises(ValueError):
+        TreeAutomorphism(2, rows, initial=True)
+    assert len(TreeAutomorphism(2, rows, initial=1)) == 2
+
+
 def test_constructor_trims_unreachable_states():
     # state 2 is unreachable from state 0 and must be dropped
     g = TreeAutomorphism(

@@ -10,11 +10,17 @@ fail for every other exit rule of the carry state.
 from __future__ import annotations
 
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import glnztree
 from glnztree import (
+    GlnzTreeError,
     IntMatrix,
     InvalidAlphabet,
     InvalidIndex,
@@ -234,6 +240,12 @@ def test_intmatrix_json():
         IntMatrix.from_json({"n": 3, "rows": [[1, 0], [0, 1]]})
 
 
+@pytest.mark.parametrize("entry", [1.0, True, "1", None, [1]])
+def test_intmatrix_from_json_rejects_non_integer_entries(entry):
+    with pytest.raises(ParseError):
+        IntMatrix.from_json({"n": 2, "rows": [[1, 0], [0, entry]]})
+
+
 # ----------------------------------------------------------------------
 # elementary factors
 
@@ -340,6 +352,38 @@ def test_factorize_validation():
         factorize(IntMatrix([[1, 2], [2, 4]]))
     with pytest.raises(TypeError):
         factorize([[1, 0], [0, 1]])
+
+
+_RESIDUE_SCRIPT = """
+from glnztree import IntMatrix, factorize
+IntMatrix.det = lambda self: 1  # let a non-unimodular matrix through
+try:
+    factorize(IntMatrix([[2, 0], [0, 1]]))
+except RuntimeError as exc:
+    print("RuntimeError", exc)
+else:
+    print("returned")
+"""
+
+
+def test_factorize_residue_check_is_an_internal_error(monkeypatch):
+    # a residue other than the identity is a bug, not malformed input
+    monkeypatch.setattr(IntMatrix, "det", lambda self: 1)
+    with pytest.raises(RuntimeError) as info:
+        factorize(IntMatrix([[2, 0], [0, 1]]))
+    assert not isinstance(info.value, GlnzTreeError)
+
+
+def test_factorize_residue_check_survives_optimize():
+    src = str(Path(glnztree.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", _RESIDUE_SCRIPT],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("RuntimeError factorize: ")
 
 
 def test_factorize_stays_exact_on_large_entries():

@@ -19,8 +19,11 @@ import pytest
 from glnztree import (
     AlphabetMismatch,
     FreenessReport,
+    GlnzTreeError,
     GroupWord,
+    InvalidArgument,
     NotReduced,
+    RefinementMismatch,
     ParseError,
     RefinementMap,
     binary_generators,
@@ -186,6 +189,38 @@ def test_depth_conjugacy_validation():
         depth_conjugacy_check(-1)
     with pytest.raises(ValueError):
         depth_conjugacy_check("deep")
+    with pytest.raises(InvalidArgument):
+        depth_conjugacy_check(True)
+    with pytest.raises(RefinementMismatch):
+        depth_conjugacy_check(1, code=RefinementMap(2, ((0,), (1,))))
+
+
+def _vertex_conjugacy_reference(depth, code):
+    """encode(v^g) == encode(v)^g-hat on every coarse vertex up to depth,
+    vertex by vertex through act()."""
+    c = coarse_machines()
+    standard = block_code()
+    pairs = [(c[key], c[key].refine(standard)) for key in
+             ("t1t1", "t1t2", "t2t2", "s1s1", "s1s2", "s2s2")]
+    for length in range(depth + 1):
+        for v in itertools.product(range(4), repeat=length):
+            for coarse, fine in pairs:
+                if code.encode(coarse.act(v)) != fine.act(code.encode(v)):
+                    return False
+    return True
+
+
+def test_depth_conjugacy_matches_vertex_reference():
+    standard = block_code()
+    perturbed = RefinementMap(2, ((0, 0), (1, 1), (0, 1), (1, 0)))
+    for depth in range(6):
+        for code in (standard, perturbed):
+            assert depth_conjugacy_check(depth, code) == _vertex_conjugacy_reference(depth, code)
+    # every bijective block code: the verdicts agree at each depth
+    for table in itertools.permutations(((0, 0), (0, 1), (1, 0), (1, 1))):
+        code = RefinementMap(2, table)
+        for depth in range(4):
+            assert depth_conjugacy_check(depth, code) == _vertex_conjugacy_reference(depth, code)
 
 
 # ----------------------------------------------------------------------
@@ -272,6 +307,57 @@ def test_freeness_validation():
         freeness_check(2, a, None)
     with pytest.raises(AlphabetMismatch):
         freeness_check(1, a, generator_automorphism("t1", 2))
+
+
+def test_argument_errors_are_typed():
+    # typed for the CLI (exit 2), and still ValueErrors for library callers
+    a, _ = binary_generators()
+    for call in (
+        lambda: freeness_check(0),
+        lambda: freeness_check(2.0),
+        lambda: freeness_check(2, a, None),
+        lambda: depth_conjugacy_check(-1),
+        lambda: constructed_edges("b"),
+        lambda: GroupWord((("b", 1),)),
+    ):
+        with pytest.raises(InvalidArgument) as info:
+            call()
+        assert isinstance(info.value, GlnzTreeError)
+        assert isinstance(info.value, ValueError)
+
+
+_LETTERS = (("a", 1), ("a", -1), ("d", 1), ("d", -1))
+
+
+def _brute_force_reports(max_length, gen_a, gen_d):
+    """FreenessReport for every bound up to max_length, from evaluating
+    each reduced word on its own, in shortlex order a < A < d < D."""
+    first = None
+    reports = []
+    for length in range(1, max_length + 1):
+        for raw in itertools.product(_LETTERS, repeat=length):
+            if first is not None:
+                break
+            if any(x[0] == y[0] and x[1] == -y[1] for x, y in zip(raw, raw[1:])):
+                continue
+            if evaluate_group_word(GroupWord(raw), gen_a, gen_d).is_identity():
+                first = GroupWord(raw)
+        reports.append(FreenessReport(length, 2 * (3 ** length - 1), first))
+    return reports
+
+
+@pytest.mark.parametrize("pair", ["ad", "da", "aa", "aA", "a1"])
+def test_freeness_matches_brute_force(pair):
+    a, d = binary_generators()
+    gens = {"a": a, "d": d, "A": a.inverse(), "1": identity_automorphism(2)}
+    gen_a, gen_d = gens[pair[0]], gens[pair[1]]
+    for report in _brute_force_reports(5, gen_a, gen_d):
+        assert freeness_check(report.max_length, gen_a, gen_d) == report
+
+
+def test_freeness_certifies_length_10():
+    report = freeness_check(10)
+    assert report == FreenessReport(10, 118_096, None)
 
 
 def test_words_agree_across_the_block_code():
