@@ -9,7 +9,9 @@ binary rooted tree, nine states each.
 This module builds `a` and `d`, evaluates reduced words in them, decides by
 a meet-in-the-middle sweep whether any reduced word up to a length bound is
 a relation, and cross-checks the block-code conjugacy between the coarse and
-fine machines on all vertices up to a depth bound.  It also carries a
+fine machines on all vertices up to a depth bound.  The sweep files the
+half-length words by the image of one fixed probe vertex and builds exact
+minimal machines only for the words whose images collide.  It also carries a
 hand-made transcription of the two published 9-state Moore diagrams for `a`
 and `d`; `figure_diff()` compares the transcription against the
 construction edge by edge, because the drawn diagrams are not to be trusted
@@ -19,6 +21,7 @@ blindly.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -126,7 +129,9 @@ def depth_conjugacy_check(depth, code=None):
     from the pair (coarse state, fine state) that v reaches, the fine
     machine maps the block of x to the block of the coarse output on x.  So
     every pair reachable within depth - 1 letters is checked once, on each
-    letter, instead of acting on all 4^0 + ... + 4^depth vertices."""
+    letter, instead of acting on all 4^0 + ... + 4^depth vertices.  Once a
+    level brings no new pair the verdict is final, so the walk stops there
+    and any depth costs at most the number of reachable pairs."""
     if not isinstance(depth, int) or isinstance(depth, bool) or depth < 0:
         raise InvalidArgument(f"depth must be a nonnegative integer, got {depth!r}")
     enc = block_code() if code is None else code
@@ -155,6 +160,8 @@ def depth_conjugacy_check(depth, code=None):
                     if pair not in seen:
                         seen.add(pair)
                         nxt.append(pair)
+            if not nxt:
+                break  # every reachable pair is checked; deeper levels repeat them
             level = nxt
     return True
 
@@ -165,6 +172,13 @@ def depth_conjugacy_check(depth, code=None):
 _SYMBOLS = {"a": ("a", 1), "A": ("a", -1), "d": ("d", 1), "D": ("d", -1)}
 _LETTER_ORDER = (("a", 1), ("a", -1), ("d", 1), ("d", -1))
 _RANK = {syl: pos for pos, syl in enumerate(_LETTER_ORDER)}
+
+# Longest relation sweep accepted.  The sweep holds every reduced word of
+# length <= ceil(L/2), three times more per level; L = 20 files 118,097 words.
+MAX_SWEEP_LENGTH = 20
+# The probe vertex of the sweep: _PROBE_LENGTH letters drawn from a fixed seed.
+_PROBE_SEED = 2023
+_PROBE_LENGTH = 64
 
 
 class GroupWord:
@@ -268,18 +282,29 @@ def freeness_check(max_length, gen_a=None, gen_d=None):
     over the given generators (default: the binary pair a, d) evaluates to
     the identity, and report the first such word in shortlex order with
     letters a < A < d < D.  `words_checked` is the number of reduced words
-    covered, 2 * (3^max_length - 1).
+    covered, 2 * (3^max_length - 1).  `max_length` is capped at
+    MAX_SWEEP_LENGTH; above it InvalidArgument is raised.
 
-    Meet in the middle: every reduced word of length <= ceil(max_length/2),
-    the empty word included, is evaluated level by level (each machine is
-    its parent's composed with one generator, then minimized) and filed
-    under its canonical minimal form.  A relation w of length <= max_length
-    splits as w = u v^-1 with u, v reduced, distinct and of length
-    <= ceil(max_length/2), so u and v share a class; conversely two distinct words u, v of
-    one class give the nontrivial relation u v^-1, freely reduced.  The
-    report takes the shortlex-first of those relations that fit the bound."""
+    Meet in the middle: a relation w of length <= max_length splits as
+    w = u v^-1 with u, v reduced, distinct and of length
+    <= ceil(max_length/2), so u and v are equal elements; conversely two
+    distinct equal words u, v give the nontrivial relation u v^-1, freely
+    reduced.  So only the words of length <= ceil(max_length/2), the empty
+    word included, are walked, level by level, and each carries the image
+    of one fixed probe vertex (64 letters from a fixed seed), one act per
+    word: image(w g) = g.act(image(w)).  Words are filed in buckets by
+    their image.  Equal elements have equal images, so every class of
+    equal words lies inside one bucket, and a word alone in its bucket
+    equals no other.  Only the words of buckets holding two or more get a
+    machine: their exact minimal forms split the bucket into the classes of
+    equal words.  The report is therefore exact whatever the probe.  It
+    takes the shortlex-first of the relations u v^-1, v u^-1 over pairs of
+    one class that fit the bound."""
     if not isinstance(max_length, int) or isinstance(max_length, bool) or max_length < 1:
         raise InvalidArgument(f"max_length must be a positive integer, got {max_length!r}")
+    if max_length > MAX_SWEEP_LENGTH:
+        raise InvalidArgument(
+            f"max_length must be at most {MAX_SWEEP_LENGTH}, got {max_length}")
     if gen_a is None and gen_d is None:
         gen_a, gen_d = binary_generators()
     elif gen_a is None or gen_d is None:
@@ -287,27 +312,43 @@ def freeness_check(max_length, gen_a=None, gen_d=None):
     if gen_a.n != gen_d.n:
         raise AlphabetMismatch(f"alphabets differ: {gen_a.n} vs {gen_d.n}")
     machines = {
-        ("a", 1): gen_a.minimize(),
-        ("a", -1): gen_a.inverse().minimize(),
-        ("d", 1): gen_d.minimize(),
-        ("d", -1): gen_d.inverse().minimize(),
+        ("a", 1): gen_a,
+        ("a", -1): gen_a.inverse(),
+        ("d", 1): gen_d,
+        ("d", -1): gen_d.inverse(),
     }
-    identity = identity_automorphism(gen_a.n)
-    classes = {(identity.outputs, identity.transitions): [()]}
-    level = [((), identity)]
-    for _ in range((max_length + 1) // 2):
+    rng = random.Random(_PROBE_SEED)
+    probe = tuple(rng.randrange(gen_a.n) for _ in range(_PROBE_LENGTH))
+    # buckets are keyed by the hash of the image: a hash collision only
+    # puts more words in a bucket, and the exact split separates them
+    first_in = {hash(probe): ()}
+    shared = {}
+    level = [((), probe)]
+    half = (max_length + 1) // 2
+    for depth in range(half):
         nxt = []
-        for word, machine in level:
+        for word, image in level:
             for syl in _LETTER_ORDER:
                 if word and word[-1] == (syl[0], -syl[1]):
                     continue
                 extended = word + (syl,)
-                product = machine.compose(machines[syl]).minimize()
-                classes.setdefault((product.outputs, product.transitions), []).append(extended)
-                nxt.append((extended, product))
+                moved = machines[syl].act(image)
+                key = hash(moved)
+                first = first_in.setdefault(key, extended)
+                if first is not extended:
+                    shared.setdefault(key, [first]).append(extended)
+                if depth + 1 < half:
+                    nxt.append((extended, moved))
         level = nxt
+    classes = []
+    for words in shared.values():
+        exact = {}
+        for word in words:
+            m = evaluate_group_word(word, gen_a, gen_d)
+            exact.setdefault((m.outputs, m.transitions), []).append(word)
+        classes.extend(exact.values())
     relations = []
-    for words in classes.values():
+    for words in classes:
         for u, v in itertools.combinations(words, 2):
             for rel in (_free_reduce(u + _word_inverse(v)), _free_reduce(v + _word_inverse(u))):
                 if len(rel) <= max_length:

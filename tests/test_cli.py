@@ -14,11 +14,14 @@ level instead (see test_sanov.py's negative controls).
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import glnztree
 from glnztree import IntMatrix, TreeAutomorphism, phi
 from glnztree.cli import main
 
@@ -278,6 +281,18 @@ def test_free_rejects_bad_bounds(capsys):
     assert capsys.readouterr().err.startswith("error: ")
     assert main(["free", "--max-length", "2", "--depth", "-1"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    # above the fixed length cap: a typed error, nothing on stdout
+    assert main(["free", "--max-length", "21", "--depth", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: max_length must be at most 20")
+
+
+def test_free_huge_depth_matches_depth_6(capsys):
+    assert main(["free", "--max-length", "4", "--depth", "6"]) == 0
+    expected = capsys.readouterr().out
+    assert main(["free", "--max-length", "4", "--depth", "1000000000"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 # ----------------------------------------------------------------------
@@ -285,10 +300,15 @@ def test_free_rejects_bad_bounds(capsys):
 
 
 def test_module_entry_point(tmp_path):
+    # the child imports the same package as this process, also when pytest
+    # alone put its source directory on sys.path
+    src = str(Path(glnztree.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-m", "glnztree.cli",
          "phi", "--matrix", _matrix_file(tmp_path, T1_ROWS)],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=120, env=env,
     )
     assert result.returncode == 0
     assert result.stdout == "states: 3\n"

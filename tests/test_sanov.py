@@ -11,11 +11,14 @@ carries the expected failure for the printed form).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
+import time
 
 import pytest
 
+from glnztree import sanov
 from glnztree import (
     AlphabetMismatch,
     FreenessReport,
@@ -184,6 +187,16 @@ def test_depth_conjugacy_negative_control():
     assert depth_conjugacy_check(0, code=perturbed)  # the root sees nothing
 
 
+def test_depth_conjugacy_stops_when_no_pair_is_new():
+    # the reachable state pairs run out after a few levels; a huge depth
+    # must not keep looping over empty levels
+    start = time.perf_counter()
+    assert depth_conjugacy_check(10**12)
+    perturbed = RefinementMap(2, ((0, 0), (1, 1), (0, 1), (1, 0)))
+    assert not depth_conjugacy_check(10**12, code=perturbed)
+    assert time.perf_counter() - start < 0.5
+
+
 def test_depth_conjugacy_validation():
     with pytest.raises(ValueError):
         depth_conjugacy_check(-1)
@@ -316,6 +329,7 @@ def test_argument_errors_are_typed():
         lambda: freeness_check(0),
         lambda: freeness_check(2.0),
         lambda: freeness_check(2, a, None),
+        lambda: freeness_check(sanov.MAX_SWEEP_LENGTH + 1),
         lambda: depth_conjugacy_check(-1),
         lambda: constructed_edges("b"),
         lambda: GroupWord((("b", 1),)),
@@ -346,18 +360,53 @@ def _brute_force_reports(max_length, gen_a, gen_d):
     return reports
 
 
-@pytest.mark.parametrize("pair", ["ad", "da", "aa", "aA", "a1"])
-def test_freeness_matches_brute_force(pair):
+@functools.lru_cache(maxsize=None)
+def _brute_force_case(pair):
+    """Generators named by `pair` and their brute-force reports up to 5."""
     a, d = binary_generators()
     gens = {"a": a, "d": d, "A": a.inverse(), "1": identity_automorphism(2)}
     gen_a, gen_d = gens[pair[0]], gens[pair[1]]
-    for report in _brute_force_reports(5, gen_a, gen_d):
+    return gen_a, gen_d, tuple(_brute_force_reports(5, gen_a, gen_d))
+
+
+@pytest.mark.parametrize("pair", ["ad", "da", "aa", "aA", "a1"])
+def test_freeness_matches_brute_force(pair):
+    gen_a, gen_d, reports = _brute_force_case(pair)
+    for report in reports:
+        assert freeness_check(report.max_length, gen_a, gen_d) == report
+
+
+@pytest.mark.parametrize("pair", ["ad", "da", "aa", "aA", "a1"])
+def test_freeness_is_exact_when_every_word_collides(pair, monkeypatch):
+    """With an empty probe vertex every word lands in one bucket, so the
+    report rests on the exact split by minimal forms alone."""
+    monkeypatch.setattr(sanov, "_PROBE_LENGTH", 0)
+    gen_a, gen_d, reports = _brute_force_case(pair)
+    for report in reports:
         assert freeness_check(report.max_length, gen_a, gen_d) == report
 
 
 def test_freeness_certifies_length_10():
     report = freeness_check(10)
     assert report == FreenessReport(10, 118_096, None)
+
+
+def test_freeness_length_14_builds_no_machine(monkeypatch):
+    """No two reduced words of length <= 7 in a, d share a probe image, so
+    the sweep to length 14 builds no minimal form at all."""
+    calls = []
+
+    def counting(word, gen_a, gen_d):
+        calls.append(word)
+        return evaluate_group_word(word, gen_a, gen_d)
+
+    monkeypatch.setattr(sanov, "evaluate_group_word", counting)
+    assert freeness_check(14) == FreenessReport(14, 9_565_936, None)
+    assert calls == []
+    # control: equal generators collide, and each colliding word is built
+    a, _ = binary_generators()
+    assert freeness_check(2, a, a).counterexample == GroupWord.parse("aD")
+    assert sorted(map(str, map(GroupWord, calls))) == ["A", "D", "a", "d"]
 
 
 def test_words_agree_across_the_block_code():
