@@ -11,7 +11,6 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .mealy import TreeAutomorphism
 from .glnz import (
     IntMatrix,
     SignFlip,
@@ -199,8 +198,7 @@ def lemma2_suite(dims=(2, 3), mmax=20, eq1_kmax=3):
             candidates = [_t1_t2_product(n, i, m - i) for i in range(m + 1)]
             matched = set()
             for s in range(len(power.outputs)):
-                pointed = TreeAutomorphism(
-                    power.n, list(zip(power.outputs, power.transitions)), initial=s)
+                pointed = power._repointed(s)
                 found = [idx for idx, cand in enumerate(candidates) if pointed.equal(cand)]
                 if len(found) != 1 or found[0] in matched:
                     bad_sets.append(f"m={m} state {s}: matches {found}")

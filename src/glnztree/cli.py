@@ -6,6 +6,8 @@ all CLI text; `act --bits` prints each letter as its bit vector instead
 checks passed), 1 when a verification fails, 2 on malformed input.  Only
 the library's typed input errors (GlnzTreeError, OverflowError) and OS
 errors map to exit 2; anything else is an internal fault and propagates.
+A dimension above glnz.MAX_DIM (12, so 4,096 letters) is malformed input:
+phi, act, `dot --n` and `verify --n` exit 2 on it.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from . import checks
 from .errors import GlnzTreeError, InvalidArgument, InvalidLetter, ParseError
@@ -146,7 +149,9 @@ def _cmd_free(args):
     return 1
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    # built once per process: parse_args returns a fresh Namespace per call
     parser = argparse.ArgumentParser(
         prog="glnztree",
         description="Finite-state tree automorphisms of integer matrices.")

@@ -36,6 +36,11 @@ from .mealy import TreeAutomorphism, identity_automorphism
 INT64_MIN = -(2 ** 63)
 INT64_MAX = 2 ** 63 - 1
 
+# Largest dimension whose machines are built: their alphabet has 2^n
+# letters, 4,096 at the cap.  Above it every function that would build such
+# an alphabet raises InvalidAlphabet instead of exhausting memory.
+MAX_DIM = 12
+
 
 def _check64(value):
     if value < INT64_MIN or value > INT64_MAX:
@@ -72,6 +77,16 @@ def letter_from_bits(bits):
 # ----------------------------------------------------------------------
 # base alphabet permutations and generator machines
 
+def _alphabet_size(n):
+    """Check a dimension 2 <= n <= MAX_DIM and return its alphabet size 2^n."""
+    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+        raise InvalidAlphabet(f"need an integer n >= 2, got {n!r}")
+    if n > MAX_DIM:
+        raise InvalidAlphabet(
+            f"dimension {n} exceeds MAX_DIM = {MAX_DIM}: its alphabet would have 2^{n} letters")
+    return 1 << n
+
+
 def base_permutation(kind, n, i=None, j=None):
     """Rooted permutation of the 2^n letters, 0-based.
 
@@ -79,9 +94,7 @@ def base_permutation(kind, n, i=None, j=None):
     "sigma": x1 += 1         (carry-free part of adding the vector e1)
     "pi":    swap bits i, j  (requires 1 <= i < j <= n)
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise InvalidAlphabet(f"need an integer n >= 2, got {n!r}")
-    size = 1 << n
+    size = _alphabet_size(n)
     if kind == "tau":
         return tuple(v ^ ((v >> 1) & 1) for v in range(size))
     if kind == "sigma":
@@ -117,9 +130,7 @@ def generator_automorphism(name, n, i=None, j=None):
     commuting), so the machine is pinned by the arithmetic, not just by
     its displayed table.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise InvalidAlphabet(f"need an integer n >= 2, got {n!r}")
-    size = 1 << n
+    size = _alphabet_size(n)
     if name == "s":
         pi = base_permutation("pi", n, i, j)
         return TreeAutomorphism._trusted(size, (pi,), ((0,) * size,), minimal=True)
@@ -497,9 +508,13 @@ def expected_states(factor):
 
 def phi(matrix):
     """The embedding: factorize, map each factor to its machine, compose
-    left to right with minimization interleaved."""
+    left to right with minimization interleaved.  Dimensions above MAX_DIM
+    raise InvalidAlphabet before any work is done."""
+    if not isinstance(matrix, IntMatrix):
+        raise TypeError("phi expects an IntMatrix")
+    size = _alphabet_size(matrix.n)
     factors = factorize(matrix)
-    acc = identity_automorphism(1 << matrix.n)
+    acc = identity_automorphism(size)
     for f in factors:
         acc = acc.compose(elementary_to_automorphism(f, matrix.n)).minimize()
     return acc

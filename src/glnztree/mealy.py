@@ -29,6 +29,22 @@ from .errors import (
 )
 
 
+def _trim(outputs, transitions, initial):
+    """The rows reachable from `initial`, renumbered breadth-first with
+    letters ascending, so that `initial` becomes state 0."""
+    order = [initial]
+    renum = {initial: 0}
+    head = 0
+    while head < len(order):
+        for t in transitions[order[head]]:
+            if t not in renum:
+                renum[t] = len(order)
+                order.append(t)
+        head += 1
+    return (tuple(outputs[s] for s in order),
+            tuple(tuple(renum[t] for t in transitions[s]) for s in order))
+
+
 class TreeAutomorphism:
     __slots__ = ("n", "outputs", "transitions", "_minimal", "_hash")
 
@@ -54,19 +70,9 @@ class TreeAutomorphism:
             for t in trans:
                 if not (isinstance(t, int) and not isinstance(t, bool) and 0 <= t < size):
                     raise ValueError(f"transition target {t!r} out of range")
-        # trim: breadth-first from the initial state, letters ascending
-        order = [initial]
-        renum = {initial: 0}
-        head = 0
-        while head < len(order):
-            for t in rows[order[head]][1]:
-                if t not in renum:
-                    renum[t] = len(order)
-                    order.append(t)
-            head += 1
         self.n = n
-        self.outputs = tuple(rows[s][0] for s in order)
-        self.transitions = tuple(tuple(renum[t] for t in rows[s][1]) for s in order)
+        self.outputs, self.transitions = _trim(
+            [out for out, _ in rows], [trans for _, trans in rows], initial)
         self._minimal = False
         self._hash = None
 
@@ -104,12 +110,14 @@ class TreeAutomorphism:
 
     def act(self, word):
         """Image of a vertex under the automorphism."""
+        n = self.n
         outputs = self.outputs
         transitions = self.transitions
         s = 0
         image = []
         for x in word:
-            x = self._letter(x)
+            if type(x) is not int or not 0 <= x < n:
+                x = self._letter(x)  # raises, or passes an int subclass
             image.append(outputs[s][x])
             s = transitions[s][x]
         return tuple(image)
@@ -122,7 +130,14 @@ class TreeAutomorphism:
             s = self.transitions[s][self._letter(x)]
         if s == 0:
             return self
-        return TreeAutomorphism(self.n, list(zip(self.outputs, self.transitions)), initial=s)
+        return self._repointed(s)
+
+    def _repointed(self, state):
+        """This machine re-pointed at `state`, without validating again.
+        Every sub-automaton of a minimal machine is minimal, so the flag
+        carries over."""
+        outputs, transitions = _trim(self.outputs, self.transitions, state)
+        return TreeAutomorphism._trusted(self.n, outputs, transitions, minimal=self._minimal)
 
     def first_level_states(self):
         """Wreath recursion of the initial state: the list of sections at the
@@ -387,7 +402,7 @@ class RefinementMap:
             )
         for block in table:
             for b in block:
-                if not (isinstance(b, int) and 0 <= b < fine_size):
+                if not (isinstance(b, int) and not isinstance(b, bool) and 0 <= b < fine_size):
                     raise ValueError(f"code letter {b!r} outside fine alphabet")
         if len(set(table)) != len(table):
             raise ValueError("code table is not injective")

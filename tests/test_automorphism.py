@@ -153,6 +153,24 @@ def test_act_rejects_bad_letters():
             T1.act(bad_word)
 
 
+@pytest.mark.parametrize("bad", [True, -1, 4, 1.0, None])
+def test_act_reports_the_first_bad_letter(bad):
+    # the same message as the per-letter check, naming the first bad letter
+    # even when a second one follows
+    message = re.escape(f"letter {bad!r} outside alphabet 0..3")
+    for word in ((bad,), (3, bad), (0, 1, bad, "x")):
+        with pytest.raises(InvalidLetter, match=f"^{message}$"):
+            T1.act(word)
+
+
+def test_act_accepts_int_subclasses():
+    class Letter(int):
+        pass
+
+    assert T1.act((Letter(3), Letter(3))) == T1.act((3, 3)) == (2, 3)
+    assert T1.act(()) == ()
+
+
 def test_act_preserves_length_and_prefixes():
     rng = random.Random("glnztree/tests/prefix")
     g = T1.compose(T2).compose(S12).minimize()
@@ -182,6 +200,25 @@ def test_state_at_pinned_sections():
 def test_state_at_root_returns_self():
     assert T1.state_at(()) is T1
     assert S12.state_at((2, 1, 0)) is S12  # single-state machine
+
+
+def test_state_at_repoints_without_revalidating():
+    # the trusted re-point gives the rows of the validating constructor; a
+    # minimal source passes its flag on, and the flag is truthful
+    redundant = TreeAutomorphism(2, [((1, 0), (1, 1)), ((1, 0), (0, 0))])
+    for g in (T1.power(5), T1.compose(T2).compose(S12).minimize(), redundant):
+        minimal = g._minimal
+        rows = list(zip(g.outputs, g.transitions))
+        for s in range(len(g)):
+            pointed = g._repointed(s)
+            checked = TreeAutomorphism(g.n, rows, initial=s)
+            assert (pointed.outputs, pointed.transitions) == (checked.outputs, checked.transitions)
+            assert pointed._minimal is minimal
+            if minimal:
+                fresh = checked.minimize()
+                assert (fresh.outputs, fresh.transitions) == (pointed.outputs, pointed.transitions)
+    assert redundant.state_at((0,)).state_count() == 1
+    assert len(SINK_MACHINE.state_at((0,))) == 1  # trimmed to the sink
 
 
 def test_first_level_states_of_generators():
@@ -400,6 +437,14 @@ def test_refinement_map_validation():
         RefinementMap(2, [(0, 0), (1, 2), (1, 0), (0, 1)])  # bad fine letter
     with pytest.raises(InvalidAlphabet):
         RefinementMap(1, [(0, 0)])
+
+
+def test_refinement_map_rejects_bool_letters():
+    # bools are rejected as letters by TreeAutomorphism and encode alike
+    with pytest.raises(ValueError, match="code letter False outside fine alphabet"):
+        RefinementMap(2, ((False, False), (True, True), (True, False), (False, True)))
+    with pytest.raises(ValueError, match="code letter True"):
+        RefinementMap(2, ((0, 0), (True, 1), (1, 0), (0, 1)))
 
 
 def test_refinement_is_homomorphism():

@@ -117,6 +117,19 @@ def test_phi_malformed_inputs(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_phi_dimension_cap(tmp_path, capsys):
+    def reversal(n):
+        return [[1 if c == n - 1 - r else 0 for c in range(n)] for r in range(n)]
+
+    assert main(["phi", "--matrix", _matrix_file(tmp_path, reversal(12))]) == 0
+    assert capsys.readouterr().out == "states: 1\n"
+    for n in (13, 30):
+        assert main(["phi", "--matrix", _matrix_file(tmp_path, reversal(n))]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: dimension {n} exceeds MAX_DIM = 12")
+
+
 def test_internal_error_is_not_malformed_input(tmp_path, monkeypatch):
     # only typed input errors exit 2; a bug inside the library propagates
     def broken(matrix):
@@ -225,6 +238,20 @@ def test_dot_rejects_bad_generators(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+def test_dot_dimension_cap(tmp_path, capsys):
+    out = tmp_path / "g.dot"
+    assert main(["dot", "--generator", "t1", "--n", "12", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8").count(" -> ") == 2 * 4096
+    out.unlink()
+    for n in ("13", "40"):
+        assert main(["dot", "--generator", "t1", "--n", n, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: dimension {n} exceeds MAX_DIM = 12: its alphabet would have 2^{n} letters\n")
+        assert not out.exists()
+
+
 # ----------------------------------------------------------------------
 # verify
 
@@ -260,6 +287,16 @@ def test_verify_rejects_nonpositive_kmax(capsys, kmax):
     assert captured.err.startswith("error: ")
 
 
+def test_verify_dimension_cap(capsys):
+    assert main(["verify", "--lemma1", "--n", "12"]) == 0
+    assert capsys.readouterr().out == "lemma1/commuting-product n=12: PASS\n"
+    for suite in ("--lemma1", "--theorem1", "--lemma2", "--corollary"):
+        assert main(["verify", suite, "--n", "13"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: dimension 13 exceeds MAX_DIM = 12")
+
+
 # ----------------------------------------------------------------------
 # free
 
@@ -293,6 +330,53 @@ def test_free_huge_depth_matches_depth_6(capsys):
     expected = capsys.readouterr().out
     assert main(["free", "--max-length", "4", "--depth", "1000000000"]) == 0
     assert capsys.readouterr().out == expected
+
+
+# ----------------------------------------------------------------------
+# repeated calls in one process
+
+
+def _separate_call(argv):
+    # the same call in a fresh interpreter, as the oracle
+    src = str(Path(glnztree.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])), COLUMNS="80")
+    result = subprocess.run(
+        [sys.executable, "-m", "glnztree.cli", *argv],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    return result.returncode, result.stdout, result.stderr
+
+
+def _in_process_call(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # --help and argparse usage errors
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_repeated_calls_match_separate_calls(tmp_path, capsys, monkeypatch):
+    # one parser serves every call of a process; no state may carry over
+    monkeypatch.setenv("COLUMNS", "80")
+    matrix = _matrix_file(tmp_path, T1_ROWS)
+    sequence = [
+        ["verify", "--lemma1", "--n", "2"],
+        ["verify", "--n", "2", "--kmax", "3"],
+        ["free", "--max-length", "21", "--depth", "1"],
+        ["free", "--max-length", "3", "--depth", "2"],
+        ["free", "--max-length", "x"],
+        ["phi", "--matrix", matrix],
+        ["--help"],
+        ["act", "--matrix", matrix, "--word", "4,4"],
+        ["verify", "--help"],
+        ["verify", "--theorem1", "--n", "2", "--kmax", "2"],
+    ]
+    got = [_in_process_call(argv, capsys) for argv in sequence]
+    expected = [_separate_call(argv) for argv in sequence]
+    assert [code for code, _, _ in got] == [0, 0, 2, 0, 2, 0, 0, 0, 0, 0]
+    assert got == expected
 
 
 # ----------------------------------------------------------------------

@@ -499,3 +499,40 @@ def test_phi_homomorphism_sample():
 def test_phi_validation():
     with pytest.raises(NotUnimodular):
         phi(IntMatrix([[2, 0], [0, 1]]))
+    with pytest.raises(TypeError):
+        phi([[1, 0], [0, 1]])  # a wrong argument type is not malformed input
+
+
+# ----------------------------------------------------------------------
+# dimension cap
+
+
+def _reversal(n):
+    return IntMatrix([[1 if c == n - 1 - r else 0 for c in range(n)] for r in range(n)])
+
+
+def test_dimension_cap_at_and_above():
+    from glnztree.glnz import MAX_DIM
+
+    assert MAX_DIM == 12
+    # at the cap: 4,096 letters
+    assert len(base_permutation("tau", MAX_DIM)) == 1 << MAX_DIM
+    assert generator_automorphism("t1", MAX_DIM).n == 1 << MAX_DIM
+    assert phi(_reversal(MAX_DIM)).state_count() == 1
+    # above it: a typed error before any 2^n-letter alphabet is built
+    above = MAX_DIM + 1
+    for call in (
+        lambda: base_permutation("sigma", above),
+        lambda: generator_automorphism("t1", above),
+        lambda: generator_automorphism("s", above, 1, 2),
+        lambda: elementary_to_automorphism(SignFlip(1), above),
+        lambda: elementary_to_automorphism(Transvection(1, 2, 1), above),
+        lambda: phi(IntMatrix.identity(above)),
+        lambda: phi(IntMatrix.identity(30)),
+    ):
+        with pytest.raises(InvalidAlphabet, match=r"^dimension (13|30) exceeds MAX_DIM = 12: "):
+            call()
+    # matrix arithmetic and factorization stay uncapped
+    big = _reversal(30)
+    assert factor_product(factorize(big), 30) == big
+    assert Transvection(1, 30, 2).matrix(30).rows[0][29] == 2
