@@ -24,6 +24,7 @@ from .glnz import (
     generator_automorphism,
     phi,
 )
+from .mealy import TreeAutomorphism
 from .sanov import depth_conjugacy_check, freeness_check
 
 DEFAULT_SEED = 20260817
@@ -83,7 +84,7 @@ def random_triangular(n, rng, max_entry=5):
 @lru_cache(maxsize=None)
 def _gen_power(name, n, k):
     if k == 0:
-        return generator_automorphism("t1", n).power(0)
+        return TreeAutomorphism.identity(1 << n)
     prev = _gen_power(name, n, k - 1)
     return prev.compose(generator_automorphism(name, n)).minimize()
 

@@ -10,8 +10,11 @@ is invertible over Z).
 
 The embedding sends a matrix to the automorphism via an elementary-factor
 decomposition: transvections (one off-diagonal entry), sign flips (negate one
-basis vector) and transpositions (swap two basis vectors).  Two base machines
-suffice; everything else is conjugation by permutations.
+basis vector) and transpositions (swap two basis vectors).  Each factor's
+machine is built directly from what it does to the bits of a letter: a
+transposition permutes bits (one state), a sign flip negates one coordinate
+in two's complement (two states), and T_ij(k) is the k-th power of the full
+adder "coordinate j += coordinate i" (|k| + 1 states).
 
 All matrix arithmetic is exact.  Entries are plain Python ints checked
 against a signed 64-bit range at construction and after every arithmetic
@@ -31,7 +34,7 @@ from .errors import (
     ParseError,
     ShapeError,
 )
-from .mealy import TreeAutomorphism, identity_automorphism
+from .mealy import TreeAutomorphism
 
 INT64_MIN = -(2 ** 63)
 INT64_MAX = 2 ** 63 - 1
@@ -40,6 +43,10 @@ INT64_MAX = 2 ** 63 - 1
 # letters, 4,096 at the cap.  Above it every function that would build such
 # an alphabet raises InvalidAlphabet instead of exhausting memory.
 MAX_DIM = 12
+
+
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _check64(value):
@@ -100,7 +107,7 @@ def base_permutation(kind, n, i=None, j=None):
     if kind == "sigma":
         return tuple(v ^ 1 for v in range(size))
     if kind == "pi":
-        if not (isinstance(i, int) and isinstance(j, int) and 1 <= i < j <= n):
+        if not (_is_int(i) and _is_int(j) and 1 <= i < j <= n):
             raise InvalidIndex(f"pi needs 1 <= i < j <= n, got i={i!r}, j={j!r}")
         a, b = i - 1, j - 1
 
@@ -113,7 +120,7 @@ def base_permutation(kind, n, i=None, j=None):
     raise ValueError(f"unknown permutation kind {kind!r}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def generator_automorphism(name, n, i=None, j=None):
     """The finite-state machine of a group generator over 2^n letters.
 
@@ -138,14 +145,25 @@ def generator_automorphism(name, n, i=None, j=None):
         raise InvalidIndex(f"generator {name!r} takes no indices")
     if name not in ("t1", "t2"):
         raise ValueError(f"unknown generator {name!r}")
-    tau = base_permutation("tau", n)
-    tau_sigma = tuple(v ^ 1 for v in tau)
-    # state 0 = t1 (carry 0), state 1 = t2 (carry 1); transitions are the
-    # full-adder carry logic on the low two bits of each letter
-    t1_row = tuple(1 if v & 3 == 3 else 0 for v in range(size))
-    t2_row = tuple(0 if v & 3 == 0 else 1 for v in range(size))
-    states = ((tau, t1_row), (tau_sigma, t2_row))
-    return TreeAutomorphism(size, states, initial=0 if name == "t1" else 1)
+    return _adder(n, 2, 1, 0 if name == "t1" else 1)
+
+
+def _adder(n, i, j, carry=0):
+    """The machine of T_ij(1), coordinate j += coordinate i, least
+    significant bit first, pointed at carry 0 or 1.  State c is carry c: on
+    a letter with bits x it sets bit j to the low bit of x_i + x_j + c and
+    carries the high bit."""
+    size = _alphabet_size(n)
+    a, b = i - 1, j - 1
+    states = []
+    for c in (0, 1):
+        outs, carries = [], []
+        for v in range(size):
+            s = ((v >> a) & 1) + ((v >> b) & 1) + c
+            outs.append(v & ~(1 << b) | (s & 1) << b)
+            carries.append(s >> 1)
+        states.append((outs, carries))
+    return TreeAutomorphism(size, states, initial=carry)
 
 
 # ----------------------------------------------------------------------
@@ -257,10 +275,10 @@ class Transvection:
     k: int
 
     def __post_init__(self):
-        if not (isinstance(self.i, int) and isinstance(self.j, int)
+        if not (_is_int(self.i) and _is_int(self.j)
                 and self.i >= 1 and self.j >= 1 and self.i != self.j):
-            raise InvalidIndex(f"transvection needs distinct 1-based indices, got ({self.i}, {self.j})")
-        if not isinstance(self.k, int) or self.k == 0:
+            raise InvalidIndex(f"transvection needs distinct 1-based indices, got ({self.i!r}, {self.j!r})")
+        if not _is_int(self.k) or self.k == 0:
             raise ValueError(f"transvection parameter must be a nonzero int, got {self.k!r}")
         _check64(self.k)
 
@@ -281,7 +299,7 @@ class SignFlip:
     i: int
 
     def __post_init__(self):
-        if not isinstance(self.i, int) or self.i < 1:
+        if not _is_int(self.i) or self.i < 1:
             raise InvalidIndex(f"sign flip needs a 1-based index, got {self.i!r}")
 
     def matrix(self, n):
@@ -302,7 +320,7 @@ class Transposition:
     j: int
 
     def __post_init__(self):
-        if not (isinstance(self.i, int) and isinstance(self.j, int) and 1 <= self.i < self.j):
+        if not (_is_int(self.i) and _is_int(self.j) and 1 <= self.i < self.j):
             raise InvalidIndex(f"transposition needs 1 <= i < j, got ({self.i!r}, {self.j!r})")
 
     def matrix(self, n):
@@ -440,53 +458,24 @@ def factorize(matrix):
 # ----------------------------------------------------------------------
 # the embedding
 
-def _conjugators(i, j):
-    """Transpositions (outermost first) carrying the base (2,1)-transvection
-    to position (i, j): T_ij = P1 P2 T21 P2 P1 for the returned [P1, P2]."""
-    if (i, j) == (2, 1):
-        return []
-    if (i, j) == (1, 2):
-        return [(1, 2)]
-    if j == 1:
-        return [(2, i)]
-    if i == 2:
-        return [(1, j)]
-    if i == 1:
-        return [(1, 2), (1, j)]
-    if j == 2:
-        return [(1, i), (1, 2)]
-    return [(2, i), (1, j)]
-
-
-@lru_cache(maxsize=None)
-def _sign_flip_first(n):
-    # diag(-1, 1, ..., 1) = T21(1) P12 T21(-1) P12 T21(1) P12
-    t1 = generator_automorphism("t1", n)
-    s12 = generator_automorphism("s", n, 1, 2)
-    acc = identity_automorphism(1 << n)
-    for g in (t1, s12, t1.inverse(), s12, t1, s12):
-        acc = acc.compose(g).minimize()
-    return acc
-
-
 def elementary_to_automorphism(factor, n):
-    """Machine of one elementary factor acting on the 2^n-ary tree."""
+    """Machine of one elementary factor acting on the 2^n-ary tree, built
+    from its column arithmetic: a transposition swaps two bits, a sign flip
+    negates coordinate i in two's complement (bits pass unchanged up to and
+    including the first 1, every later one is inverted), and T_ij(k) is the
+    k-th power of the adder of T_ij(1)."""
     if isinstance(factor, Transposition):
         return generator_automorphism("s", n, factor.i, factor.j)
     if isinstance(factor, SignFlip):
         _require_dim(factor.i, n)
-        flip = _sign_flip_first(n)
-        if factor.i == 1:
-            return flip
-        s = generator_automorphism("s", n, 1, factor.i)
-        return s.compose(flip).compose(s).minimize()
+        size = _alphabet_size(n)
+        bit = 1 << (factor.i - 1)
+        copying = (range(size), [int(v & bit != 0) for v in range(size)])
+        inverting = ([v ^ bit for v in range(size)], [1] * size)
+        return TreeAutomorphism(size, (copying, inverting))
     if isinstance(factor, Transvection):
         _require_dim(max(factor.i, factor.j), n)
-        acc = generator_automorphism("t1", n).power(factor.k)
-        for a, b in reversed(_conjugators(factor.i, factor.j)):
-            s = generator_automorphism("s", n, a, b)
-            acc = s.compose(acc).compose(s).minimize()
-        return acc
+        return _adder(n, factor.i, factor.j).power(factor.k)
     raise TypeError(f"not an elementary factor: {factor!r}")
 
 
@@ -514,7 +503,7 @@ def phi(matrix):
         raise TypeError("phi expects an IntMatrix")
     size = _alphabet_size(matrix.n)
     factors = factorize(matrix)
-    acc = identity_automorphism(size)
+    acc = TreeAutomorphism.identity(size)
     for f in factors:
         acc = acc.compose(elementary_to_automorphism(f, matrix.n)).minimize()
     return acc

@@ -89,6 +89,7 @@ class TreeAutomorphism:
 
     @classmethod
     def identity(cls, n):
+        """The trivial automorphism of the n-regular tree (one state)."""
         if not isinstance(n, int) or isinstance(n, bool) or n < 2:
             raise InvalidAlphabet(f"alphabet size must be an integer >= 2, got {n!r}")
         return cls._trusted(n, (tuple(range(n)),), ((0,) * n,), minimal=True)
@@ -425,11 +426,6 @@ class RefinementMap:
 
     def __repr__(self):
         return f"<RefinementMap {self.coarse_size}->{self.fine_size}^{self.block_length}>"
-
-
-def identity_automorphism(n):
-    """The trivial automorphism of the n-regular tree (one state)."""
-    return TreeAutomorphism.identity(n)
 
 
 def _refine_table(machine, code):

@@ -32,8 +32,8 @@ from .errors import (
     ParseError,
     RefinementMismatch,
 )
-from .glnz import generator_automorphism
-from .mealy import RefinementMap, _refine_table, identity_automorphism
+from .glnz import _adder, generator_automorphism
+from .mealy import RefinementMap, TreeAutomorphism, _refine_table
 
 # coarse letter -> binary 2-block; letter 1 = (0,0), 2 = (1,1), 3 = (1,0), 4 = (0,1)
 _BLOCK_TABLE = ((0, 0), (1, 1), (1, 0), (0, 1))
@@ -48,12 +48,12 @@ def block_code():
 @lru_cache(maxsize=None)
 def _coarse():
     """Generators and their pairwise products over the 4-letter alphabet.
-    s1 and s2 are the swap-conjugates of t1 and t2."""
+    t1 and t2 are the adder of T21(1) at carries 0 and 1, s1 and s2 the
+    adder of T12(1) (coordinate 2 += coordinate 1) at carries 0 and 1."""
     t1 = generator_automorphism("t1", 2)
     t2 = generator_automorphism("t2", 2)
-    s12 = generator_automorphism("s", 2, 1, 2)
-    s1 = s12.compose(t1).compose(s12).minimize()
-    s2 = s12.compose(t2).compose(s12).minimize()
+    s1 = _adder(2, 1, 2, 0)
+    s2 = _adder(2, 1, 2, 1)
 
     def prod(g, h):
         return g.compose(h).minimize()
@@ -239,7 +239,7 @@ def evaluate_group_word(word, gen_a, gen_d):
         ("d", 1): gen_d,
         ("d", -1): gen_d.inverse(),
     }
-    acc = identity_automorphism(gen_a.n)
+    acc = TreeAutomorphism.identity(gen_a.n)
     for syl in word:
         acc = acc.compose(machines[syl]).minimize()
     return acc

@@ -29,13 +29,12 @@ from glnztree import (
     block_code,
     coarse_machines,
     generator_automorphism,
-    identity_automorphism,
 )
 
 T1 = generator_automorphism("t1", 2)
 T2 = generator_automorphism("t2", 2)
 S12 = generator_automorphism("s", 2, 1, 2)
-E4 = identity_automorphism(4)
+E4 = TreeAutomorphism.identity(4)
 
 # single-state involution over 4 letters that swaps the blocks (0,0) and
 # (1,1) of the standard block code, so it cannot act letterwise on blocks
@@ -51,7 +50,7 @@ def _words(n, max_len):
 
 
 def _random_machine(rng, pool, max_factors=4):
-    acc = identity_automorphism(pool[0].n)
+    acc = TreeAutomorphism.identity(pool[0].n)
     for _ in range(rng.randint(0, max_factors)):
         g = rng.choice(pool)
         if rng.random() < 0.5:
@@ -75,21 +74,21 @@ def _pool(n):
 
 
 def test_identity_machine():
-    e = identity_automorphism(4)
+    e = TreeAutomorphism.identity(4)
     assert len(e.outputs) == 1
     assert e.outputs[0] == (0, 1, 2, 3)
     assert e.transitions[0] == (0, 0, 0, 0)
     assert e.is_identity()
     for n in (2, 4, 8):
-        assert identity_automorphism(n).state_count() == 1
+        assert TreeAutomorphism.identity(n).state_count() == 1
     for w in _words(2, 6):
-        assert identity_automorphism(2).act(w) == w
+        assert TreeAutomorphism.identity(2).act(w) == w
 
 
 def test_identity_alphabet_validation():
     for bad in (1, 0, -3, "4", 2.0, True):
         with pytest.raises(InvalidAlphabet):
-            identity_automorphism(bad)
+            TreeAutomorphism.identity(bad)
 
 
 def test_constructor_validation():
@@ -264,7 +263,7 @@ def test_compose_pinned_products():
 
 def test_compose_validation():
     with pytest.raises(AlphabetMismatch):
-        T1.compose(identity_automorphism(2))
+        T1.compose(TreeAutomorphism.identity(2))
     with pytest.raises(TypeError):
         T1.compose("t2")
 
@@ -358,7 +357,7 @@ def test_equal():
     assert not T1.equal(T2)
     assert T1.equal(T1)
     with pytest.raises(AlphabetMismatch):
-        T1.equal(identity_automorphism(2))
+        T1.equal(TreeAutomorphism.identity(2))
     with pytest.raises(TypeError):
         T1.equal(3)
 
@@ -369,7 +368,7 @@ def test_equality_operators_and_hash():
     assert left == right
     assert hash(left) == hash(right)
     assert len({left, right, T1, T2}) == 3
-    assert T1 != identity_automorphism(2)  # different alphabets, not an error
+    assert T1 != TreeAutomorphism.identity(2)  # different alphabets, not an error
     assert (T1 == "t1") is False
 
 
@@ -382,7 +381,7 @@ def test_state_count_pinned():
 
 def test_strong_connectivity():
     assert T1.power(6).is_strongly_connected()
-    assert identity_automorphism(2).is_strongly_connected()
+    assert TreeAutomorphism.identity(2).is_strongly_connected()
     assert not SINK_MACHINE.is_strongly_connected()
 
 
@@ -397,7 +396,7 @@ def test_refine_pinned():
     assert len(refined.outputs) == 9
     a, _ = binary_generators()
     assert refined.equal(a)
-    assert identity_automorphism(4).refine(code).equal(identity_automorphism(2))
+    assert TreeAutomorphism.identity(4).refine(code).equal(TreeAutomorphism.identity(2))
 
 
 def test_refine_equivariance_exhaustive():
@@ -411,7 +410,7 @@ def test_refine_equivariance_exhaustive():
 def test_refine_rejects_mismatches():
     code = block_code()
     with pytest.raises(RefinementMismatch):
-        identity_automorphism(8).refine(code)
+        TreeAutomorphism.identity(8).refine(code)
     with pytest.raises(RefinementMismatch):
         NON_REFINABLE.refine(code)
     with pytest.raises(RefinementMismatch):
@@ -518,7 +517,7 @@ def test_equality_matches_bounded_action():
 
 
 def test_to_dot_identity_exact():
-    assert identity_automorphism(2).to_dot() == (
+    assert TreeAutomorphism.identity(2).to_dot() == (
         "digraph moore {\n"
         "  rankdir=LR;\n"
         "  node [shape=circle];\n"

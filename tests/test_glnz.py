@@ -31,6 +31,7 @@ from glnztree import (
     SignFlip,
     Transposition,
     Transvection,
+    TreeAutomorphism,
     base_permutation,
     bits_from_letter,
     elementary_to_automorphism,
@@ -42,10 +43,10 @@ from glnztree import (
     factors_from_json,
     factors_to_json,
     generator_automorphism,
-    identity_automorphism,
     letter_from_bits,
     phi,
 )
+from glnztree.checks import random_unimodular
 
 # ----------------------------------------------------------------------
 # base permutations and letter codecs
@@ -87,6 +88,8 @@ def test_base_permutation_validation():
         base_permutation("pi", 2, None, None)
     with pytest.raises(ValueError):
         base_permutation("rho", 2)
+    with pytest.raises(InvalidIndex):
+        base_permutation("pi", 2, True, 2)
 
 
 def test_letter_codec_pinned():
@@ -162,6 +165,13 @@ def test_generator_validation():
         generator_automorphism("s", 2, 1, 5)
     with pytest.raises(ValueError):
         generator_automorphism("t3", 2)
+    # equal keys of another type miss the cache and are checked afresh
+    generator_automorphism("s", 2, 1, 2)
+    with pytest.raises(InvalidIndex):
+        generator_automorphism("s", 2, True, 2)
+    generator_automorphism("t1", 2)
+    with pytest.raises(InvalidAlphabet):
+        generator_automorphism("t1", 2.0)
 
 
 def test_carry_rule_group_relations():
@@ -279,6 +289,15 @@ def test_factor_validation():
         SignFlip(4).matrix(3)
     with pytest.raises(OverflowError):
         Transvection(1, 2, 2 ** 63)
+    # a bool is not an index or a parameter
+    with pytest.raises(ValueError):
+        Transvection(2, 1, True)
+    with pytest.raises(InvalidIndex):
+        Transvection(True, 2, 1)
+    with pytest.raises(InvalidIndex):
+        SignFlip(True)
+    with pytest.raises(InvalidIndex):
+        Transposition(True, 2)
 
 
 def test_factor_json():
@@ -291,6 +310,8 @@ def test_factor_json():
         factor_from_json({"X": 1})
     with pytest.raises(ParseError):
         factor_from_json({"T": [1, 2, 0]})
+    with pytest.raises(ParseError):
+        factor_from_json(json.loads('{"T": [2, 1, true]}'))
     with pytest.raises(ParseError):
         factor_from_json({"T": [1, 2], "E": 1})
     with pytest.raises(ParseError):
@@ -450,6 +471,122 @@ def test_sign_flip_negates_the_coordinate_stream():
     assert machine.act(one) == minus_one
 
 
+# The conjugation chains that built the elementary machines before they were
+# built directly from their column arithmetic, kept as oracles.
+
+def _conjugators(i, j):
+    """Transpositions (outermost first) carrying the base (2,1)-transvection
+    to position (i, j): T_ij = P1 P2 T21 P2 P1 for the returned [P1, P2]."""
+    if (i, j) == (2, 1):
+        return []
+    if (i, j) == (1, 2):
+        return [(1, 2)]
+    if j == 1:
+        return [(2, i)]
+    if i == 2:
+        return [(1, j)]
+    if i == 1:
+        return [(1, 2), (1, j)]
+    if j == 2:
+        return [(1, i), (1, 2)]
+    return [(2, i), (1, j)]
+
+
+def _chain_transvection(i, j, k, n):
+    acc = generator_automorphism("t1", n).power(k)
+    for a, b in reversed(_conjugators(i, j)):
+        s = generator_automorphism("s", n, a, b)
+        acc = s.compose(acc).compose(s)
+    return acc
+
+
+def _chain_sign_flip(i, n):
+    # diag(-1, 1, ..., 1) = T21(1) P12 T21(-1) P12 T21(1) P12, then moved to
+    # position i by conjugating with s_1i
+    t1 = generator_automorphism("t1", n)
+    s12 = generator_automorphism("s", n, 1, 2)
+    acc = TreeAutomorphism.identity(1 << n)
+    for g in (t1, s12, t1.inverse(), s12, t1, s12):
+        acc = acc.compose(g)
+    if i == 1:
+        return acc
+    s = generator_automorphism("s", n, 1, i)
+    return s.compose(acc).compose(s)
+
+
+_ORACLE_KS = (1, -1, 2, -2, 5, -5)
+
+
+def _elementary_factors(n):
+    for i in range(1, n + 1):
+        yield SignFlip(i)
+        for j in range(1, n + 1):
+            if i != j:
+                for k in _ORACLE_KS:
+                    yield Transvection(i, j, k)
+            if i < j:
+                yield Transposition(i, j)
+
+
+def test_elementary_machines_equal_the_conjugation_chains():
+    for n in (2, 3, 4):
+        for i in range(1, n + 1):
+            assert elementary_to_automorphism(SignFlip(i), n).equal(_chain_sign_flip(i, n))
+            for j in range(1, n + 1):
+                if i == j:
+                    continue
+                for k in _ORACLE_KS:
+                    machine = elementary_to_automorphism(Transvection(i, j, k), n)
+                    assert machine.equal(_chain_transvection(i, j, k, n)), (n, i, j, k)
+
+
+def _decode(word, n):
+    """The n integers a word spells: bit i of its t-th letter is bit t of
+    coordinate i."""
+    x = [0] * n
+    for t, letter in enumerate(word):
+        for i in range(n):
+            x[i] |= ((letter >> i) & 1) << t
+    return x
+
+
+def _spell(x, length):
+    return tuple(sum(((xi >> t) & 1) << i for i, xi in enumerate(x)) for t in range(length))
+
+
+def _arithmetic_image(rows, word):
+    """spell(decode(w) A mod 2^|w|): the row vector a word spells, times A."""
+    n = len(rows)
+    x = _decode(word, n)
+    y = [sum(x[r] * rows[r][c] for r in range(n)) % (1 << len(word)) for c in range(n)]
+    return _spell(y, len(word))
+
+
+def _assert_acts_arithmetically(machine, rows, rng):
+    for length in (0, 1, 3, 8, 24):
+        word = tuple(rng.randrange(machine.n) for _ in range(length))
+        assert machine.act(word) == _arithmetic_image(rows, word), (rows, word)
+
+
+def test_elementary_machines_act_by_column_arithmetic():
+    """Each factor's machine and phi of its matrix map a word to the
+    spelling of x A mod 2^|w|, computed on integers with no machine."""
+    rng = random.Random("glnztree/tests/arithmetic-elementary")
+    for n in (2, 3, 4):
+        for f in _elementary_factors(n):
+            rows = f.matrix(n).rows
+            _assert_acts_arithmetically(elementary_to_automorphism(f, n), rows, rng)
+            _assert_acts_arithmetically(phi(f.matrix(n)), rows, rng)
+
+
+def test_phi_acts_by_column_arithmetic():
+    rng = random.Random("glnztree/tests/arithmetic-phi")
+    for n in (2, 3, 4):
+        for _ in range(30):
+            mat, _ = random_unimodular(n, rng)
+            _assert_acts_arithmetically(phi(mat), mat.rows, rng)
+
+
 def test_expected_states():
     assert expected_states(Transposition(1, 3)) == 1
     assert expected_states(SignFlip(2)) == 2
@@ -481,7 +618,7 @@ def test_phi_is_factorization_independent():
     mat = IntMatrix([[1, 0, 0], [3, 1, 0], [2, -1, 1]])
     alternative = [Transvection(2, 1, 3), Transvection(3, 1, 2), Transvection(3, 2, -1)]
     assert factor_product(alternative, 3) == mat
-    machine = identity_automorphism(8)
+    machine = TreeAutomorphism.identity(8)
     for f in alternative:
         machine = machine.compose(elementary_to_automorphism(f, 3)).minimize()
     assert machine.equal(phi(mat))

@@ -29,6 +29,7 @@ from glnztree import (
     RefinementMismatch,
     ParseError,
     RefinementMap,
+    TreeAutomorphism,
     binary_generators,
     block_code,
     coarse_machines,
@@ -38,7 +39,6 @@ from glnztree import (
     figure_diff,
     freeness_check,
     generator_automorphism,
-    identity_automorphism,
     sanov_generators,
 )
 from glnztree.sanov import FIGURE_A_EDGES, FIGURE_D_EDGES
@@ -364,7 +364,7 @@ def _brute_force_reports(max_length, gen_a, gen_d):
 def _brute_force_case(pair):
     """Generators named by `pair` and their brute-force reports up to 5."""
     a, d = binary_generators()
-    gens = {"a": a, "d": d, "A": a.inverse(), "1": identity_automorphism(2)}
+    gens = {"a": a, "d": d, "A": a.inverse(), "1": TreeAutomorphism.identity(2)}
     gen_a, gen_d = gens[pair[0]], gens[pair[1]]
     return gen_a, gen_d, tuple(_brute_force_reports(5, gen_a, gen_d))
 
