@@ -81,15 +81,16 @@ def random_triangular(n, rng, max_entry=5):
 # ----------------------------------------------------------------------
 # minimized power/product cache shared by the heavier suites
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _gen_power(name, n, k):
     if k == 0:
-        return TreeAutomorphism.identity(1 << n)
+        # the generator checks n against MAX_DIM before any alphabet is built
+        return TreeAutomorphism.identity(generator_automorphism(name, n).n)
     prev = _gen_power(name, n, k - 1)
     return prev.compose(generator_automorphism(name, n)).minimize()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def _t1_t2_product(n, p, q):
     # minimized machine of t1^p t2^q
     return _gen_power("t1", n, p).compose(_gen_power("t2", n, q)).minimize()

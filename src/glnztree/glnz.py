@@ -60,9 +60,9 @@ def _check64(value):
 
 def bits_from_letter(letter, n):
     """1-based letter -> bit vector (x1, ..., xn), x1 least significant."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InvalidAlphabet(f"bit count must be a positive integer, got {n!r}")
-    if not (isinstance(letter, int) and not isinstance(letter, bool) and 1 <= letter <= 1 << n):
+    if not (_is_int(letter) and 1 <= letter <= 1 << n):
         raise InvalidLetter(f"letter {letter!r} outside 1..{1 << n}")
     v = letter - 1
     return tuple((v >> i) & 1 for i in range(n))
@@ -86,7 +86,7 @@ def letter_from_bits(bits):
 
 def _alphabet_size(n):
     """Check a dimension 2 <= n <= MAX_DIM and return its alphabet size 2^n."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+    if not _is_int(n) or n < 2:
         raise InvalidAlphabet(f"need an integer n >= 2, got {n!r}")
     if n > MAX_DIM:
         raise InvalidAlphabet(
@@ -181,7 +181,7 @@ class IntMatrix:
             raise ShapeError(f"expected a square matrix of dimension >= 2, got {n} rows")
         for r in rows:
             for e in r:
-                if not isinstance(e, int) or isinstance(e, bool):
+                if not _is_int(e):
                     raise TypeError(f"matrix entries must be ints, got {e!r}")
                 _check64(e)
         self.n = n
@@ -254,7 +254,7 @@ class IntMatrix:
             raise ParseError("malformed matrix JSON: \"rows\" must be a list of lists")
         for r in rows:
             for e in r:
-                if not isinstance(e, int) or isinstance(e, bool):
+                if not _is_int(e):
                     raise ParseError(f"malformed matrix JSON: entry {e!r} is not an integer")
         matrix = cls(rows)
         if matrix.n != n:
@@ -337,7 +337,7 @@ ElementaryFactor = Transvection | SignFlip | Transposition
 
 
 def _require_dim(index, n):
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+    if not _is_int(n) or n < 2:
         raise InvalidAlphabet(f"need an integer n >= 2, got {n!r}")
     if index > n:
         raise InvalidIndex(f"index {index} exceeds dimension {n}")

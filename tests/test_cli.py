@@ -295,6 +295,12 @@ def test_verify_dimension_cap(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: dimension 13 exceeds MAX_DIM = 12")
+    # lemma2 builds t1^0 first; it must hit the cap before any alphabet too
+    for n in ("13", "40"):
+        assert main(["verify", "--lemma2", "--n", n]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: dimension {n} exceeds MAX_DIM = 12")
 
 
 # ----------------------------------------------------------------------

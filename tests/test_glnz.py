@@ -673,3 +673,13 @@ def test_dimension_cap_at_and_above():
     big = _reversal(30)
     assert factor_product(factorize(big), 30) == big
     assert Transvection(1, 30, 2).matrix(30).rows[0][29] == 2
+
+
+def test_lemma2_suite_checks_the_dimension_first():
+    from glnztree.checks import lemma2_suite
+
+    # the suite's first machine is the identity t1^0 over 2^n letters
+    with pytest.raises(InvalidAlphabet, match=r"^dimension 40 exceeds MAX_DIM = 12: "):
+        lemma2_suite(dims=(40,))
+    with pytest.raises(InvalidAlphabet, match=r"^need an integer n >= 2, got 2\.0$"):
+        lemma2_suite(dims=(2.0,))
