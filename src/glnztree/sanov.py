@@ -32,7 +32,7 @@ from .errors import (
     ParseError,
     RefinementMismatch,
 )
-from .glnz import _adder, generator_automorphism
+from .glnz import Transvection, _carry
 from .mealy import RefinementMap, TreeAutomorphism, _refine_table
 
 # coarse letter -> binary 2-block; letter 1 = (0,0), 2 = (1,1), 3 = (1,0), 4 = (0,1)
@@ -47,36 +47,26 @@ def block_code():
 
 @lru_cache(maxsize=None)
 def _coarse():
-    """Generators and their pairwise products over the 4-letter alphabet.
-    t1 and t2 are the adder of T21(1) at carries 0 and 1, s1 and s2 the
-    adder of T12(1) (coordinate 2 += coordinate 1) at carries 0 and 1."""
-    t1 = generator_automorphism("t1", 2)
-    t2 = generator_automorphism("t2", 2)
-    s1 = _adder(2, 1, 2, 0)
-    s2 = _adder(2, 1, 2, 1)
-
-    def prod(g, h):
-        return g.compose(h).minimize()
-
-    return {
-        "t1": t1,
-        "t2": t2,
-        "s1": s1,
-        "s2": s2,
-        "t1t1": prod(t1, t1),
-        "t1t2": prod(t1, t2),
-        "t2t1": prod(t2, t1),
-        "t2t2": prod(t2, t2),
-        "s1s1": prod(s1, s1),
-        "s1s2": prod(s1, s2),
-        "s2s1": prod(s2, s1),
-        "s2s2": prod(s2, s2),
-    }
+    """Generators and their pairwise products over the 4-letter alphabet,
+    each the carry machine of x -> xA + c on pairs of 2-adic integers.  t1
+    and t2 are T21(1) at carries (0, 0) and (1, 0); s1 and s2 are T12(1)
+    (coordinate 2 += coordinate 1) at carries (0, 0) and (0, 1).  T21(1)
+    fixes (1, 0) and T12(1) fixes (0, 1), so the product t_a t_b, which is
+    x -> (x T21(1) + c_a) T21(1) + c_b, is T21(2) at carry (#2s, 0), and
+    s_a s_b is T12(2) at carry (0, #2s), where #2s counts the 2s in a, b."""
+    machines = {}
+    for k in (1, 2):
+        for g, i, j in (("t", 2, 1), ("s", 1, 2)):
+            matrix = Transvection(i, j, k).matrix(2)
+            for word in itertools.product((1, 2), repeat=k):
+                carry = (word.count(2), 0) if g == "t" else (0, word.count(2))
+                machines[g + g.join(map(str, word))] = _carry(matrix, carry)
+    return machines
 
 
 def coarse_machines():
     """Read-only access to the coarse generators and products (keys "t1",
-    "t2", "s1", "s2" and the six products "t1t1", ..., "s2s2")."""
+    "t2", "s1", "s2" and the eight products "t1t1", ..., "s2s2")."""
     return dict(_coarse())
 
 
@@ -87,12 +77,6 @@ def sanov_generators():
 
 
 @lru_cache(maxsize=None)
-def _binary():
-    code = block_code()
-    c = _coarse()
-    return c["t1t1"].refine(code), c["s1s1"].refine(code)
-
-
 def binary_generators():
     """The free generators a, d over the binary alphabet, as the nine-state
     machines the refinement yields (3 coarse sections x 3 buffer positions).
@@ -102,7 +86,8 @@ def binary_generators():
     states act identically (the pairs straddling the first and third
     sections each collapse).  Callers wanting canonical forms should
     minimize()."""
-    return _binary()
+    code = block_code()
+    return tuple(g.refine(code) for g in sanov_generators())
 
 
 # ----------------------------------------------------------------------
@@ -227,18 +212,23 @@ class GroupWord:
         return f"GroupWord.parse({str(self)!r})"
 
 
-def evaluate_group_word(word, gen_a, gen_d):
-    """Machine of a reduced word in the generators, minimized."""
-    if not isinstance(word, GroupWord):
-        word = GroupWord(word)
+def _syllable_machines(gen_a, gen_d):
+    """The machines of the four syllables a, A, d, D."""
     if gen_a.n != gen_d.n:
         raise AlphabetMismatch(f"alphabets differ: {gen_a.n} vs {gen_d.n}")
-    machines = {
+    return {
         ("a", 1): gen_a,
         ("a", -1): gen_a.inverse(),
         ("d", 1): gen_d,
         ("d", -1): gen_d.inverse(),
     }
+
+
+def evaluate_group_word(word, gen_a, gen_d):
+    """Machine of a reduced word in the generators, minimized."""
+    if not isinstance(word, GroupWord):
+        word = GroupWord(word)
+    machines = _syllable_machines(gen_a, gen_d)
     acc = TreeAutomorphism.identity(gen_a.n)
     for syl in word:
         acc = acc.compose(machines[syl]).minimize()
@@ -309,14 +299,7 @@ def freeness_check(max_length, gen_a=None, gen_d=None):
         gen_a, gen_d = binary_generators()
     elif gen_a is None or gen_d is None:
         raise InvalidArgument("pass both generators or neither")
-    if gen_a.n != gen_d.n:
-        raise AlphabetMismatch(f"alphabets differ: {gen_a.n} vs {gen_d.n}")
-    machines = {
-        ("a", 1): gen_a,
-        ("a", -1): gen_a.inverse(),
-        ("d", 1): gen_d,
-        ("d", -1): gen_d.inverse(),
-    }
+    machines = _syllable_machines(gen_a, gen_d)
     rng = random.Random(_PROBE_SEED)
     probe = tuple(rng.randrange(gen_a.n) for _ in range(_PROBE_LENGTH))
     # buckets are keyed by the hash of the image: a hash collision only

@@ -46,7 +46,9 @@ from glnztree import (
     letter_from_bits,
     phi,
 )
+from glnztree import sanov
 from glnztree.checks import random_unimodular
+from glnztree.glnz import _carry
 
 # ----------------------------------------------------------------------
 # base permutations and letter codecs
@@ -312,6 +314,10 @@ def test_factor_json():
         factor_from_json({"T": [1, 2, 0]})
     with pytest.raises(ParseError):
         factor_from_json(json.loads('{"T": [2, 1, true]}'))
+    # a bad index is malformed JSON too, not an InvalidIndex
+    for bad in ('{"E": true}', '{"T": [0, 1, 1]}', '{"P": [2, 1]}'):
+        with pytest.raises(ParseError):
+            factor_from_json(json.loads(bad))
     with pytest.raises(ParseError):
         factor_from_json({"T": [1, 2], "E": 1})
     with pytest.raises(ParseError):
@@ -554,18 +560,20 @@ def _spell(x, length):
     return tuple(sum(((xi >> t) & 1) << i for i, xi in enumerate(x)) for t in range(length))
 
 
-def _arithmetic_image(rows, word):
-    """spell(decode(w) A mod 2^|w|): the row vector a word spells, times A."""
+def _arithmetic_image(rows, word, carry=None):
+    """spell(decode(w) A + c mod 2^|w|): the row vector a word spells, times
+    A, plus the carry vector c (default 0)."""
     n = len(rows)
+    c = carry or (0,) * n
     x = _decode(word, n)
-    y = [sum(x[r] * rows[r][c] for r in range(n)) % (1 << len(word)) for c in range(n)]
+    y = [(sum(x[r] * rows[r][j] for r in range(n)) + c[j]) % (1 << len(word)) for j in range(n)]
     return _spell(y, len(word))
 
 
-def _assert_acts_arithmetically(machine, rows, rng):
+def _assert_acts_arithmetically(machine, rows, rng, carry=None):
     for length in (0, 1, 3, 8, 24):
         word = tuple(rng.randrange(machine.n) for _ in range(length))
-        assert machine.act(word) == _arithmetic_image(rows, word), (rows, word)
+        assert machine.act(word) == _arithmetic_image(rows, word, carry), (rows, carry, word)
 
 
 def test_elementary_machines_act_by_column_arithmetic():
@@ -585,6 +593,73 @@ def test_phi_acts_by_column_arithmetic():
         for _ in range(30):
             mat, _ = random_unimodular(n, rng)
             _assert_acts_arithmetically(phi(mat), mat.rows, rng)
+
+
+def _construction_matrices():
+    """Every elementary matrix with k in _ORACLE_KS, and 30 seeded
+    random_unimodular matrices, per n in {2, 3, 4}."""
+    rng = random.Random("glnztree/tests/carry-construction")
+    for n in (2, 3, 4):
+        for f in _elementary_factors(n):
+            yield f.matrix(n)
+        for _ in range(30):
+            yield random_unimodular(n, rng)[0]
+
+
+def test_carry_machine_is_the_minimal_phi():
+    """The construction as a theorem: the carry machine of x -> xA, started
+    at carry 0, is phi(A) in minimal form, row for row, and minimize()
+    leaves it as built."""
+    for mat in _construction_matrices():
+        machine = _carry(mat, (0,) * mat.n)
+        rows = (machine.outputs, machine.transitions)
+        minimal = phi(mat).minimize()
+        assert rows == (minimal.outputs, minimal.transitions), mat
+        built = machine.minimize()
+        assert rows == (built.outputs, built.transitions), mat
+    # a matrix that is not invertible mod 2 gives no automorphism
+    with pytest.raises(ValueError, match="is not a permutation"):
+        _carry(IntMatrix([[2, 0], [0, 1]]), (0, 0))
+
+
+def test_carry_machine_adds_its_carry():
+    """Started at a nonzero carry c, the machine maps the word spelling x to
+    the spelling of x A + c mod 2^|w|."""
+    rng = random.Random("glnztree/tests/carry-affine")
+    for mat in _construction_matrices():
+        carry = (0,) * mat.n
+        while not any(carry):
+            carry = tuple(rng.randint(-9, 9) for _ in range(mat.n))
+        _assert_acts_arithmetically(_carry(mat, carry), mat.rows, rng, carry)
+
+
+def test_one_step_machines_are_built_without_composition(monkeypatch):
+    """t1, t2, the sign flips, the one-step machines of T_ij(1) and the
+    twelve coarse machines come straight from their carries."""
+    calls = []
+    compose = TreeAutomorphism.compose
+
+    def counting(self, other):
+        calls.append((self, other))
+        return compose(self, other)
+
+    monkeypatch.setattr(TreeAutomorphism, "compose", counting)
+    generator_automorphism.cache_clear()
+    _carry.cache_clear()
+    sanov._coarse.cache_clear()
+    for n in (2, 3, 4):
+        generator_automorphism("t1", n)
+        generator_automorphism("t2", n)
+        for i in range(1, n + 1):
+            elementary_to_automorphism(SignFlip(i), n)
+            for j in range(1, n + 1):
+                if i != j:
+                    _carry(Transvection(i, j, 1).matrix(n), (0,) * n)
+    sanov.coarse_machines()
+    assert not calls
+    # the counter does count: a product goes through it
+    generator_automorphism("t1", 2).compose(generator_automorphism("t2", 2))
+    assert len(calls) == 1
 
 
 def test_expected_states():
@@ -666,8 +741,12 @@ def test_dimension_cap_at_and_above():
         lambda: elementary_to_automorphism(Transvection(1, 2, 1), above),
         lambda: phi(IntMatrix.identity(above)),
         lambda: phi(IntMatrix.identity(30)),
+        # at once: no n x n matrix is built before the dimension is checked
+        lambda: elementary_to_automorphism(SignFlip(1), 10 ** 6),
+        lambda: elementary_to_automorphism(Transvection(1, 2, 3), 10 ** 6),
     ):
-        with pytest.raises(InvalidAlphabet, match=r"^dimension (13|30) exceeds MAX_DIM = 12: "):
+        with pytest.raises(InvalidAlphabet,
+                           match=r"^dimension (13|30|1000000) exceeds MAX_DIM = 12: "):
             call()
     # matrix arithmetic and factorization stay uncapped
     big = _reversal(30)

@@ -58,6 +58,11 @@ def test_block_code():
     assert code.encode((0, 1, 2)) == (0, 0, 1, 1, 1, 0)
 
 
+# The two-state full adder at n = 2, written out: state 0 is t1 (carry 0),
+# state 1 is t2 (carry 1).  Letters 0-based, bits (x1, x2) = (v & 1, v >> 1).
+_ADDER_ROWS = (((0, 1, 3, 2), (0, 0, 0, 1)), ((1, 0, 2, 3), (0, 1, 1, 1)))
+
+
 def test_coarse_machines():
     c = coarse_machines()
     assert set(c) == {
@@ -65,11 +70,25 @@ def test_coarse_machines():
         "t1t1", "t1t2", "t2t1", "t2t2",
         "s1s1", "s1s2", "s2s1", "s2s2",
     }
-    t1 = generator_automorphism("t1", 2)
+    t1 = TreeAutomorphism(4, _ADDER_ROWS, initial=0)
+    t2 = TreeAutomorphism(4, _ADDER_ROWS, initial=1)
     s12 = generator_automorphism("s", 2, 1, 2)
-    assert c["s1"].equal(s12.compose(t1).compose(s12))
-    assert c["t1t2"].equal(c["t2t1"])  # the two adder states commute
-    assert c["s1s2"].equal(c["s2s1"])
+    one_step = {
+        "t1": t1, "t2": t2,
+        "s1": s12.compose(t1).compose(s12), "s2": s12.compose(t2).compose(s12),
+    }
+    for key, machine in one_step.items():
+        assert c[key].equal(machine), key
+    # the composition chain that built the products is their oracle
+    for g in "ts":
+        for a, b in itertools.product("12", repeat=2):
+            key = f"{g}{a}{g}{b}"
+            chain = one_step[g + a].compose(one_step[g + b]).minimize()
+            assert c[key].equal(chain), key
+            assert (c[key].outputs, c[key].transitions) == (chain.outputs, chain.transitions), key
+    # the two adder states commute
+    assert t1.compose(t2).equal(t2.compose(t1))
+    assert one_step["s1"].compose(one_step["s2"]).equal(one_step["s2"].compose(one_step["s1"]))
     for key in ("t1t1", "t1t2", "t2t2", "s1s1", "s1s2", "s2s2"):
         assert c[key].state_count() == 3
 
