@@ -19,7 +19,15 @@ from functools import lru_cache
 
 from . import checks
 from .errors import GlnzTreeError, InvalidArgument, InvalidLetter, ParseError
-from .glnz import IntMatrix, bits_from_letter, factorize, factors_to_json, generator_automorphism, phi
+from .glnz import (
+    IntMatrix,
+    _alphabet_size,
+    bits_from_letter,
+    factorize,
+    factors_to_json,
+    generator_automorphism,
+    phi,
+)
 from .sanov import binary_generators
 
 
@@ -71,9 +79,9 @@ def _parse_word(text, size):
 
 def _cmd_act(args):
     matrix = _load_matrix(args.matrix)
-    machine = phi(matrix)
-    word = _parse_word(args.word, machine.n)
-    image = machine.act(word)
+    # the word is checked against the capped alphabet before phi builds anything
+    word = _parse_word(args.word, _alphabet_size(matrix.n))
+    image = phi(matrix).act(word)
     if args.bits:
         rendered = [
             "".join(str(b) for b in bits_from_letter(x + 1, matrix.n)) for x in image

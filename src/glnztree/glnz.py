@@ -14,7 +14,11 @@ with more than one state is such a carry machine (Brunner and Sidki): t1
 and t2 are T_21(1) at carries 0 and e1, a sign flip E_i is x -> xE_i (carries
 0 and -e_i), and T_ij(k) is the k-th power of the carry machine of T_ij(1).
 A transposition permutes bits and has one state.  The embedding factors a
-matrix into these elementary matrices and composes their machines.
+matrix into these elementary matrices and composes their machines.  The
+machine of T_ij(k) costs |k| compositions, so `factorize` clears its final
+lower triangular remainder in whichever column order gives the smaller sum
+of |k|: right to left the parameters are that remainder's own entries, left
+to right those of its inverse.
 
 All matrix arithmetic is exact.  Entries are plain Python ints checked
 against a signed 64-bit range at construction and after every arithmetic
@@ -416,10 +420,20 @@ def factorize(matrix):
     Column reduction: per pivot position p, Euclid on row p across columns
     >= p (pivot = entry of least absolute value, ties to the lowest column,
     swapped into column p), then floor-quotient transvections shrink the
-    rest of the row; once the matrix is lower triangular with unit-magnitude
-    diagonal, below-diagonal entries are cleared and -1 diagonal entries
-    flipped.  The recorded right-multiplications, inverted and reversed,
-    are the factorization."""
+    rest of the row; once the matrix is a lower triangular M with
+    unit-magnitude diagonal, below-diagonal entries are cleared and -1
+    diagonal entries flipped.  The recorded right-multiplications, inverted
+    and reversed, are the factorization.
+
+    The clearing cancels each m[q][p] with -m[q][p] * m[q][q] times column
+    q, over the columns in one of two orders.  Right to left, each step
+    changes one entry, so the parameters are the entries of M up to sign.
+    Left to right, they are the entries of M^-1, which can grow
+    multiplicatively with n.  Left to right is kept when an exact dry run
+    finds its sum of |k| no larger and its entries inside the checked 64-bit
+    range; otherwise the clearing runs right to left.  So a unit triangular
+    matrix factors into transvections whose |k| sum to at most the sum of
+    its off-diagonal |entries|, and at n = 2 both orders give one list."""
     if not isinstance(matrix, IntMatrix):
         raise TypeError("factorize expects an IntMatrix")
     d = matrix.det()
@@ -459,10 +473,27 @@ def factorize(matrix):
                         done = False
             if done:
                 break
-    for p in range(n):
+
+    def left_to_right_wins():
+        # a dry run in unchecked ints that stops once its sum exceeds
+        # right to left's, the sum of |entries| below the diagonal
+        budget = sum(abs(m[q][p]) for p in range(n) for q in range(p + 1, n))
+        trial = [r[:] for r in m]
+        for p in range(n):
+            for q in range(p + 1, n):
+                t = -trial[q][p] * trial[q][q]
+                budget -= abs(t)
+                if budget < 0:
+                    return False
+                for r in range(q + 1, n):
+                    trial[r][p] += t * trial[r][q]
+                    if not INT64_MIN <= trial[r][p] <= INT64_MAX:
+                        return False
+        return True
+
+    for p in range(n) if left_to_right_wins() else reversed(range(n)):
         for q in range(p + 1, n):
             if m[q][p]:
-                # column q has unit diagonal m[q][q]; cancel m[q][p] exactly
                 add_col(q, p, -m[q][p] * m[q][q])
     for p in range(n):
         if m[p][p] == -1:

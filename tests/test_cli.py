@@ -22,7 +22,7 @@ from pathlib import Path
 import pytest
 
 import glnztree
-from glnztree import IntMatrix, TreeAutomorphism, phi
+from glnztree import IntMatrix, TreeAutomorphism, factor_product, factors_from_json, phi
 from glnztree.cli import main
 
 T1_ROWS = [[1, 0], [2, 1]]  # phi image is the 3-state square of the adder
@@ -154,6 +154,14 @@ def test_factorize_identity_is_empty(tmp_path, capsys):
     assert capsys.readouterr().out == "[]\n"
 
 
+def test_factorize_large_unit_lower_triangular(tmp_path, capsys):
+    # valid int64 input whose inverse leaves int64 is not malformed input
+    rows = [[1 if r == c else 100 if r > c else 0 for c in range(12)] for r in range(12)]
+    assert main(["factorize", "--matrix", _matrix_file(tmp_path, rows)]) == 0
+    factors = json.loads(capsys.readouterr().out)
+    assert factor_product(factors_from_json(factors), 12) == IntMatrix(rows)
+
+
 # ----------------------------------------------------------------------
 # act
 
@@ -189,6 +197,20 @@ def test_act_rejects_bad_letters(tmp_path, capsys, word):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+
+
+@pytest.mark.parametrize("word", ["0", "99"])
+def test_act_rejects_the_word_before_building_the_machine(tmp_path, capsys, monkeypatch, word):
+    def unreachable(matrix):
+        raise AssertionError("phi called for a malformed word")
+
+    monkeypatch.setattr("glnztree.cli.phi", unreachable)
+    assert main(["act", "--matrix", _matrix_file(tmp_path, T1_ROWS), "--word", word]) == 2
+    assert capsys.readouterr().err == f"error: letter {word} outside 1..4\n"
+    # a bad word on a matrix above the cap reports the cap, as phi would
+    reversal = [[1 if c == 12 - r else 0 for c in range(13)] for r in range(13)]
+    assert main(["act", "--matrix", _matrix_file(tmp_path, reversal), "--word", word]) == 2
+    assert capsys.readouterr().err.startswith("error: dimension 13 exceeds MAX_DIM = 12: ")
 
 
 # ----------------------------------------------------------------------
