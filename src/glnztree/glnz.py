@@ -16,9 +16,8 @@ and t2 are T_21(1) at carries 0 and e1, a sign flip E_i is x -> xE_i (carries
 A transposition permutes bits and has one state.  The embedding factors a
 matrix into these elementary matrices and composes their machines.  The
 machine of T_ij(k) costs |k| compositions, so `factorize` clears its final
-lower triangular remainder in whichever column order gives the smaller sum
-of |k|: right to left the parameters are that remainder's own entries, left
-to right those of its inverse.
+lower triangular remainder right to left: the parameters are then that
+remainder's own entries, not those of its inverse, which grow with n.
 
 All matrix arithmetic is exact.  Entries are plain Python ints checked
 against a signed 64-bit range at construction and after every arithmetic
@@ -422,18 +421,16 @@ def factorize(matrix):
     swapped into column p), then floor-quotient transvections shrink the
     rest of the row; once the matrix is a lower triangular M with
     unit-magnitude diagonal, below-diagonal entries are cleared and -1
-    diagonal entries flipped.  The recorded right-multiplications, inverted
-    and reversed, are the factorization.
+    diagonal entries flipped.  The inverses of the recorded
+    right-multiplications, reversed, are the factorization.
 
-    The clearing cancels each m[q][p] with -m[q][p] * m[q][q] times column
-    q, over the columns in one of two orders.  Right to left, each step
-    changes one entry, so the parameters are the entries of M up to sign.
-    Left to right, they are the entries of M^-1, which can grow
-    multiplicatively with n.  Left to right is kept when an exact dry run
-    finds its sum of |k| no larger and its entries inside the checked 64-bit
-    range; otherwise the clearing runs right to left.  So a unit triangular
-    matrix factors into transvections whose |k| sum to at most the sum of
-    its off-diagonal |entries|, and at n = 2 both orders give one list."""
+    The clearing runs over the columns of M right to left and cancels each
+    m[q][p] with -m[q][p] * m[q][q] times column q, which is already cleared,
+    so each step changes one entry and the parameters are the entries of M
+    up to sign.  (Left to right, they would be the entries of M^-1, which
+    grow multiplicatively with n.)  So the parameters of a unit triangular
+    matrix are its nonzero off-diagonal entries up to sign, and at n = 2,
+    with one entry to clear, the list is the same in either order."""
     if not isinstance(matrix, IntMatrix):
         raise TypeError("factorize expects an IntMatrix")
     d = matrix.det()
@@ -444,10 +441,11 @@ def factorize(matrix):
     ops = []
 
     def add_col(i, j, t):
-        # column j += t * column i
+        # column j += t * column i; the factor is its inverse, recorded as
+        # such so that t = 2^63 with a representable -t does not overflow
         for r in range(n):
             m[r][j] = _check64(m[r][j] + t * m[r][i])
-        ops.append(Transvection(i + 1, j + 1, t))
+        ops.append(Transvection(i + 1, j + 1, -t))
 
     def swap_cols(i, j):
         for r in range(n):
@@ -473,27 +471,10 @@ def factorize(matrix):
                         done = False
             if done:
                 break
-
-    def left_to_right_wins():
-        # a dry run in unchecked ints that stops once its sum exceeds
-        # right to left's, the sum of |entries| below the diagonal
-        budget = sum(abs(m[q][p]) for p in range(n) for q in range(p + 1, n))
-        trial = [r[:] for r in m]
-        for p in range(n):
-            for q in range(p + 1, n):
-                t = -trial[q][p] * trial[q][q]
-                budget -= abs(t)
-                if budget < 0:
-                    return False
-                for r in range(q + 1, n):
-                    trial[r][p] += t * trial[r][q]
-                    if not INT64_MIN <= trial[r][p] <= INT64_MAX:
-                        return False
-        return True
-
-    for p in range(n) if left_to_right_wins() else reversed(range(n)):
+    for p in reversed(range(n)):
         for q in range(p + 1, n):
             if m[q][p]:
+                # column q is cleared and has unit diagonal m[q][q]
                 add_col(q, p, -m[q][p] * m[q][q])
     for p in range(n):
         if m[p][p] == -1:
@@ -502,7 +483,8 @@ def factorize(matrix):
             ops.append(SignFlip(p + 1))
     if any(m[r][c] != (1 if r == c else 0) for r in range(n) for c in range(n)):
         raise RuntimeError(f"factorize: column reduction left {m}, not the identity")
-    return [op.inverse() for op in reversed(ops)]
+    # sign flips and transpositions are their own inverses
+    return ops[::-1]
 
 
 # ----------------------------------------------------------------------

@@ -421,25 +421,31 @@ def test_factorize_stays_exact_on_large_entries():
     assert factor_product(factorize(mixed), 2) == mixed
 
 
-@pytest.mark.parametrize("n,entry", [(12, 100), (8, 1000), (5, 100000)])
-def test_factorize_roundtrips_where_the_inverse_leaves_int64(n, entry):
-    # the inverse of these matrices has entries far beyond 2^63, so clearing
-    # left to right overflows; clearing right to left uses the entries
-    mat = IntMatrix([[1 if r == c else entry if r > c else 0 for c in range(n)]
-                     for r in range(n)])
-    factors = factorize(mat)
-    assert factor_product(factors, n) == mat
-    assert sorted(f.k for f in factors) == [entry] * (n * (n - 1) // 2)
+def _unit_lower(n, entry):
+    return [[1 if r == c else entry if r > c else 0 for c in range(n)] for r in range(n)]
 
 
-def test_factorize_tie_that_would_overflow_clears_right_to_left():
-    # both orders have parameter sum 2^40 + 2^33 + 2^24, so the tie would
-    # keep left to right, but its entry (4, 1) passes through -2^64 on the way
-    mat = IntMatrix([[1, 0, 0, 0], [2 ** 32, 1, 0, 0], [-2 ** 24, 0, 1, 0],
-                     [0, 2 ** 32, 2 ** 40, 1]])
+def _off_diagonal(rows):
+    return sorted(e for r, row in enumerate(rows) for c, e in enumerate(row) if r != c and e)
+
+
+@pytest.mark.parametrize("rows", [
+    # the inverses of these have entries far beyond 2^63, so clearing left
+    # to right overflows
+    _unit_lower(12, 100),
+    _unit_lower(8, 1000),
+    _unit_lower(5, 100000),
+    # left to right, entry (4, 1) would reach -2^63 and its factor 2^63
+    [[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 0], [-2 ** 62, 2 ** 62, 2 ** 62, 1]],
+    # the column operation adds 2^63 times a column; its inverse is in range
+    [[1, 0], [-2 ** 63, 1]],
+    [[1, -2 ** 63], [0, 1]],
+], ids=["12x12-100", "8x8-1000", "5x5-100000", "4x4-2^62", "lower-min64", "upper-min64"])
+def test_factorize_parameters_are_the_entries_near_int64(rows):
+    mat = IntMatrix(rows)
     factors = factorize(mat)
-    assert factor_product(factors, 4) == mat
-    assert sorted(f.k for f in factors) == [-2 ** 24, 2 ** 32, 2 ** 32, 2 ** 40]
+    assert factor_product(factors, mat.n) == mat
+    assert sorted(f.k for f in factors) == _off_diagonal(rows)
 
 
 def _unit_triangular(n, rng, lower):
@@ -447,27 +453,10 @@ def _unit_triangular(n, rng, lower):
              for c in range(n)] for r in range(n)]
 
 
-def _unit_lower_inverse(rows):
-    # forward substitution, exact: x[r][c] = -sum_{c <= k < r} rows[r][k] x[k][c]
-    n = len(rows)
-    inv = [[int(r == c) for c in range(n)] for r in range(n)]
-    for r in range(n):
-        for c in range(r):
-            inv[r][c] = -sum(rows[r][k] * inv[k][c] for k in range(c, r))
-    return inv
-
-
-def _off_diagonal(rows):
-    return sorted(abs(e) for r, row in enumerate(rows) for c, e in enumerate(row)
-                  if r != c and e)
-
-
 def test_factorize_triangular_parameters():
-    # upper: the pivot stage cancels each entry once.  lower: clearing right
-    # to left uses the entries of M, left to right those of M^-1, and the
-    # order with the smaller sum is taken (left to right on a tie).
+    # upper: the pivot stage cancels each entry once; lower: the clearing
+    # runs right to left, so each step cancels one entry of the matrix
     rng = random.Random("glnztree/tests/triangular-parameters")
-    entries_used = 0
     for n in range(3, 7):
         for lower in (False, True) * 15:
             rows = _unit_triangular(n, rng, lower)
@@ -475,82 +464,7 @@ def test_factorize_triangular_parameters():
             factors = factorize(mat)
             assert factor_product(factors, n) == mat
             assert all(isinstance(f, Transvection) for f in factors)
-            ks = sorted(abs(f.k) for f in factors)
-            expected = _off_diagonal(rows)
-            if lower:
-                inverse = _off_diagonal(_unit_lower_inverse(rows))
-                if sum(inverse) <= sum(expected):
-                    expected = inverse
-                else:
-                    entries_used += 1
-            assert ks == expected, rows
-            assert sum(ks) <= sum(_off_diagonal(rows))
-    # most lower samples are cleared right to left, and both cases occur
-    assert 40 <= entries_used < 60
-
-
-def _left_to_right_factorize(matrix):
-    # the column reduction that always clears the lower remainder left to right
-    n = matrix.n
-    m = [list(r) for r in matrix.rows]
-    ops = []
-
-    def add_col(i, j, t):
-        for r in range(n):
-            m[r][j] += t * m[r][i]
-        ops.append(Transvection(i + 1, j + 1, t))
-
-    for p in range(n):
-        while True:
-            best = p
-            for q in range(p, n):
-                if m[p][q] != 0 and (m[p][best] == 0 or abs(m[p][q]) < abs(m[p][best])):
-                    best = q
-            if best != p:
-                for r in range(n):
-                    m[r][p], m[r][best] = m[r][best], m[r][p]
-                ops.append(Transposition(p + 1, best + 1))
-            done = True
-            for q in range(p + 1, n):
-                if m[p][q]:
-                    t = m[p][q] // m[p][p]
-                    if t:
-                        add_col(p, q, -t)
-                    if m[p][q]:
-                        done = False
-            if done:
-                break
-    for p in range(n):
-        for q in range(p + 1, n):
-            if m[q][p]:
-                add_col(q, p, -m[q][p] * m[q][q])
-    for p in range(n):
-        if m[p][p] == -1:
-            for r in range(n):
-                m[r][p] = -m[r][p]
-            ops.append(SignFlip(p + 1))
-    return [op.inverse() for op in reversed(ops)]
-
-
-def _parameter_sum(factors):
-    return sum(abs(f.k) for f in factors if isinstance(f, Transvection))
-
-
-def test_factorize_never_heavier_than_left_to_right():
-    rng = random.Random("glnztree/tests/clearing-order")
-    lighter = 0
-    for _ in range(600):
-        n = rng.randint(2, 6)
-        mat, _ = random_unimodular(n, rng)
-        factors = factorize(mat)
-        oracle = _left_to_right_factorize(mat)
-        assert factor_product(oracle, n) == mat
-        if n == 2 or _parameter_sum(factors) == _parameter_sum(oracle):
-            assert factors == oracle  # a tie keeps the left-to-right list
-        else:
-            assert _parameter_sum(factors) < _parameter_sum(oracle)
-            lighter += 1
-    assert lighter  # the sample reaches matrices where right to left is lighter
+            assert sorted(f.k for f in factors) == _off_diagonal(rows), rows
 
 
 # ----------------------------------------------------------------------
@@ -816,8 +730,7 @@ def test_phi_pinned():
 def test_phi_work_on_the_corollary_matrices(monkeypatch):
     # a deterministic work count instead of a wall clock: phi composes one
     # power step per unit of |k|, so fill-in in the factor parameters shows
-    # up here (2,176 compositions when the remainder is always cleared left
-    # to right)
+    # up here (2,176 compositions when the remainder is cleared left to right)
     from glnztree.checks import corollary_suite
 
     calls = []
@@ -830,7 +743,7 @@ def test_phi_work_on_the_corollary_matrices(monkeypatch):
     monkeypatch.setattr(TreeAutomorphism, "compose", counting)
     (result,) = corollary_suite(dims=(4,))
     assert result.passed
-    assert len(calls) <= 1136
+    assert len(calls) <= 1140
 
 
 def test_phi_triangular_example_within_bound():
